@@ -6,7 +6,7 @@ The package splits into data handling (:mod:`s2ml.data`), loss problems
 """
 
 from .data import (Dataset, LibsvmParseError, SparseMatrix, dataset_from_rows,
-                   load_dataset, parse_libsvm_line, row_dot, serialize_dataset)
+                   load_dataset, parse_libsvm_line, serialize_dataset)
 from .harness import (ConvergenceError, ExperimentSpec, TraceRecord,
                       compute_f_star, read_trace_csv, render_convergence_svg,
                       run_experiment, write_trace_csv)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "LibsvmParseError", "SparseMatrix", "dataset_from_rows",
-    "load_dataset", "parse_libsvm_line", "row_dot", "serialize_dataset",
+    "load_dataset", "parse_libsvm_line", "serialize_dataset",
     "ConvergenceError", "ExperimentSpec", "TraceRecord", "compute_f_star",
     "read_trace_csv", "render_convergence_svg", "run_experiment",
     "write_trace_csv", "LogisticRegressionProblem", "Problem",

@@ -7,7 +7,8 @@ plots), ``fstar`` (print the cached reference optimum), and ``plot``
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or values, reported
 on stderr with usage text), 2 on runtime errors (I/O, parse failures,
-non-convergence). Diagnostics go to stderr; data goes to files or stdout.
+non-convergence, a non-finite objective or gradient norm). Diagnostics go
+to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +33,6 @@ __all__ = ["main", "write_model", "read_model", "ModelFormatError"]
 MODEL_MAGIC = "s2ml-model v1"
 
 _DEFAULTS = {
-    "problem": "logistic",
-    "solver": "tron",
-    "grad_tol": 1e-6,
-    "max_iters": 500,
-    "seed": 42,
-    "reps": 1,
-    "threads": 1,
     "out": "model.txt",
     "out_dir": "results",
 }
@@ -113,36 +108,11 @@ def _bool_from_text(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# config-file key -> (namespace attribute, converter, repeatable)
-_CONFIG_KEYS = {
-    "data": ("data", str, False),
-    "test-data": ("test_data", str, False),
-    "problem": ("problem", str, False),
-    "solver": ("solver", str, True),
-    "lambda": ("lam", float, False),
-    "bias": ("bias", _bool_from_text, False),
-    "grad-tol": ("grad_tol", float, False),
-    "max-iters": ("max_iters", int, False),
-    "cg-max-iters": ("cg_max_iters", int, False),
-    "cg-rtol": ("cg_rtol", float, False),
-    "tr-radius0": ("tr_radius0", float, False),
-    "lbfgs-memory": ("lbfgs_memory", int, False),
-    "batch0-frac": ("batch0_frac", float, False),
-    "batch-growth": ("batch_growth", float, False),
-    "reps": ("reps", int, False),
-    "seed": ("seed", int, False),
-    "threads": ("threads", int, False),
-    "deterministic": ("deterministic", _bool_from_text, False),
-    "out": ("out", str, False),
-    "out-dir": ("out_dir", str, False),
-}
-
-
 def _add_problem_flags(p):
     p.add_argument("--data", default=None,
                    help="LIBSVM data file (plain text or gzip)")
     p.add_argument("--problem", choices=sorted(PROBLEM_KINDS), default=None,
-                   help="loss to minimize (default: logistic)")
+                   help=f"loss to minimize (default: {ProblemConfig.kind})")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="L2 penalty weight (default: 1/n)")
     p.add_argument("--bias", action="store_true", default=None,
@@ -152,14 +122,15 @@ def _add_problem_flags(p):
 def _add_solver_flags(p, repeatable: bool):
     if repeatable:
         p.add_argument("--solver", choices=METHODS, action="append", default=None,
-                       help="solver to run (repeatable; default: tron)")
+                       help=f"solver to run (repeatable; default: {SolverConfig.method})")
     else:
         p.add_argument("--solver", choices=METHODS, default=None,
-                       help="solver to run (default: tron)")
+                       help=f"solver to run (default: {SolverConfig.method})")
     p.add_argument("--grad-tol", type=float, default=None,
-                   help="relative gradient-norm stopping tolerance (default 1e-6)")
+                   help="relative gradient-norm stopping tolerance "
+                        f"(default {SolverConfig.grad_tol})")
     p.add_argument("--max-iters", type=int, default=None,
-                   help="iteration cap (default 500)")
+                   help=f"iteration cap (default {SolverConfig.max_iters})")
     p.add_argument("--cg-max-iters", type=int, default=None)
     p.add_argument("--cg-rtol", type=float, default=None)
     p.add_argument("--tr-radius0", type=float, default=None)
@@ -167,10 +138,6 @@ def _add_solver_flags(p, repeatable: bool):
     p.add_argument("--batch0-frac", type=float, default=None)
     p.add_argument("--batch-growth", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for parallel sections (current runs are sequential)")
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="force reproducible reductions")
 
 
 def build_parser() -> _Parser:
@@ -184,7 +151,8 @@ def build_parser() -> _Parser:
                        help="fit one model and write it to --out")
     _add_problem_flags(t)
     _add_solver_flags(t, repeatable=False)
-    t.add_argument("--out", default=None, help="model output path (default model.txt)")
+    t.add_argument("--out", default=None,
+                   help=f"model output path (default {_DEFAULTS['out']})")
     t.add_argument("--config", default=None, help="key = value file with flag defaults")
 
     b = sub.add_parser("benchmark", allow_abbrev=False,
@@ -193,10 +161,11 @@ def build_parser() -> _Parser:
     _add_solver_flags(b, repeatable=True)
     b.add_argument("--test-data", default=None,
                    help="held-out LIBSVM file for accuracy curves")
-    b.add_argument("--reps", type=int, default=None,
-                   help="repetitions per solver (default 1)")
+    b.add_argument("--reps", dest="repetitions", metavar="REPS", type=int,
+                   default=None,
+                   help=f"repetitions per solver (default {ExperimentSpec.repetitions})")
     b.add_argument("--out-dir", default=None,
-                   help="directory for traces.csv and plots (default results)")
+                   help=f"directory for traces.csv and plots (default {_DEFAULTS['out_dir']})")
     b.add_argument("--config", default=None, help="key = value file with flag defaults")
 
     f = sub.add_parser("fstar", allow_abbrev=False,
@@ -208,17 +177,32 @@ def build_parser() -> _Parser:
                         help="render plots from a previously written traces.csv")
     pl.add_argument("--data", default=None, help="traces.csv produced by benchmark")
     pl.add_argument("--out-dir", default=None,
-                    help="directory for the SVG output (default results)")
+                    help=f"directory for the SVG output (default {_DEFAULTS['out_dir']})")
     pl.add_argument("--config", default=None, help="key = value file with flag defaults")
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config_file(args) -> None:
-    """Fill unset flags from a ``key = value`` file; explicit flags win."""
+def _long_flags(command_parser) -> dict[str, argparse.Action]:
+    """Long option name without its dashes -> action, for every flag that
+    sets a value (``--help`` and ``--config`` do not)."""
+    return {opt[2:]: action for action in command_parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config")}
+
+
+def _apply_config_file(args, parser) -> None:
+    """Fill unset flags from a ``key = value`` file; explicit flags win.
+
+    Keys are the long flag names of the subcommand. The file reads like
+    flags given in order: a repeatable flag collects every value, any
+    other flag keeps the last one.
+    """
     if getattr(args, "config", None) is None:
         return
+    flags = {name: _long_flags(p) for name, p in parser.commands.items()}
     text = Path(args.config).read_text()
-    config_solvers: list[str] = []
+    from_file: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,74 +210,77 @@ def _apply_config_file(args) -> None:
         if "=" not in line:
             raise _UsageError(f"{args.config}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if not any(key in known for known in flags.values()):
             raise _UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
-        dest, convert, repeatable = _CONFIG_KEYS[key]
-        if not hasattr(args, dest):
+        action = flags[args.command].get(key)
+        if action is None:
             raise _UsageError(
                 f"{args.config}:{lineno}: {key!r} does not apply to "
                 f"'{args.command}'")
+        convert = _bool_from_text if action.nargs == 0 else action.type or str
         try:
             converted = convert(value)
         except ValueError as exc:
             raise _UsageError(f"{args.config}:{lineno}: {exc}") from None
-        if repeatable:
-            config_solvers.append(converted)
-        elif getattr(args, dest) is None:
-            setattr(args, dest, converted)
-    if config_solvers and getattr(args, "solver", None) is None:
-        args.solver = (config_solvers if args.command == "benchmark"
-                       else config_solvers[-1])
+        if isinstance(action, argparse._AppendAction):
+            from_file.setdefault(action.dest, []).append(converted)
+        else:
+            from_file[action.dest] = converted
+    for dest, value in from_file.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
+def _name_flag(message: str, command_parser) -> str:
+    """Config dataclasses start an error with the field name; flags whose
+    dest equals that name are reported by their option string instead."""
+    field, _, rest = message.partition(" ")
+    for opt, action in _long_flags(command_parser).items():
+        if action.dest == field:
+            return f"--{opt} {rest}"
+    return message
+
+
+def _config(cls, args, **values):
+    """Build a config dataclass from the flags named like its fields, with
+    ``values`` taking precedence; unset flags and ``None`` values keep the
+    field defaults, and the dataclass does all range checking."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    given.update(values)
+    try:
+        return cls(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _get(args, name):
-    value = getattr(args, name, None)
-    return _DEFAULTS.get(name) if value is None else value
+    value = getattr(args, name)
+    return _DEFAULTS[name] if value is None else value
 
 
-def _resolve_problem(args) -> ProblemConfig:
-    kind = _get(args, "problem")
-    if kind not in PROBLEM_KINDS:
-        raise _UsageError(f"--problem: invalid value {kind!r}")
-    lam = getattr(args, "lam", None)
-    if lam is not None and lam < 0:
-        raise _UsageError("--lambda must be >= 0")
-    return ProblemConfig(kind=kind, lam=lam, add_bias=bool(getattr(args, "bias", None)))
+def _require_data(args):
+    if args.data is None:
+        raise _UsageError("--data is required")
+    return args.data
 
 
-def _resolve_solver(args, method: str) -> SolverConfig:
-    if method not in METHODS:
-        raise _UsageError(f"--solver: invalid value {method!r}")
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        raise _UsageError("--threads must be >= 1")
-    checks = [
-        ("grad_tol", "--grad-tol", lambda v: v > 0, "must be > 0"),
-        ("max_iters", "--max-iters", lambda v: v >= 0, "must be >= 0"),
-        ("cg_max_iters", "--cg-max-iters", lambda v: v >= 1, "must be >= 1"),
-        ("cg_rtol", "--cg-rtol", lambda v: 0 < v < 1, "must be in (0, 1)"),
-        ("tr_radius0", "--tr-radius0", lambda v: v > 0, "must be > 0"),
-        ("lbfgs_memory", "--lbfgs-memory", lambda v: v >= 1, "must be >= 1"),
-        ("batch0_frac", "--batch0-frac", lambda v: 0 < v <= 1, "must be in (0, 1]"),
-        ("batch_growth", "--batch-growth", lambda v: v >= 1, "must be >= 1"),
-    ]
-    base = SolverConfig()
-    values = {}
-    for dest, flag, ok, message in checks:
-        value = getattr(args, dest, None)
-        if value is None:
-            value = getattr(base, dest)
-        elif not ok(value):
-            raise _UsageError(f"{flag} {message}")
-        values[dest] = value
-    return SolverConfig(method=method, rng_seed=_get(args, "seed"), **values)
+def _problem_config(args) -> ProblemConfig:
+    return _config(ProblemConfig, args, kind=args.problem, add_bias=args.bias)
 
 
-def _require_data(args, what="--data"):
-    value = getattr(args, "data", None)
-    if value is None:
-        raise _UsageError(f"{what} is required")
-    return value
+def _solver_config(args, method: str | None) -> SolverConfig:
+    return _config(SolverConfig, args, method=method, rng_seed=args.seed)
+
+
+def _write_plots(traces, out_dir: Path) -> list[str]:
+    """Write gap.svg, plus accuracy.svg when the traces carry test accuracy."""
+    paths = [out_dir / "gap.svg"]
+    render_convergence_svg(traces, "optimality_gap", paths[0])
+    if any(t.test_accuracy is not None
+           for reps in traces.values() for run in reps for t in run):
+        paths.append(out_dir / "accuracy.svg")
+        render_convergence_svg(traces, "test_accuracy", paths[1])
+    return [str(p) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +289,37 @@ def _require_data(args, what="--data"):
 
 def _cmd_train(args) -> int:
     data = load_dataset(_require_data(args))
-    pcfg = _resolve_problem(args)
+    pcfg = _problem_config(args)
     problem = make_problem(pcfg, data)
-    method = _get(args, "solver")
-    if isinstance(method, list):
-        method = method[-1]
-    scfg = _resolve_solver(args, method)
+    scfg = _solver_config(args, args.solver)
     w, termination = run_solver(problem, scfg)
+    if termination == "non_finite":
+        print(f"s2ml: error: {scfg.method} stopped on a non-finite objective or "
+              "gradient norm (feature values too large?); no model written",
+              file=sys.stderr)
+        return 2
     out = _get(args, "out")
     write_model(out, w, ProblemConfig(kind=pcfg.kind, lam=problem.lam,
                                       add_bias=pcfg.add_bias))
-    print(f"s2ml: {method} finished ({termination}); "
+    print(f"s2ml: {scfg.method} finished ({termination}); "
           f"objective={problem.objective(w):.6e}; model -> {out}",
           file=sys.stderr)
     return 0
 
 
 def _cmd_benchmark(args) -> int:
-    train_path = _require_data(args)
-    pcfg = _resolve_problem(args)
-    methods = getattr(args, "solver", None) or [_DEFAULTS["solver"]]
-    reps = _get(args, "reps")
-    if reps < 1:
-        raise _UsageError("--reps must be >= 1")
-    spec = ExperimentSpec(
-        problem=pcfg,
-        solvers=tuple(_resolve_solver(args, m) for m in methods),
-        train_path=train_path,
-        test_path=getattr(args, "test_data", None),
-        repetitions=reps,
-        deterministic=bool(getattr(args, "deterministic", None)))
+    spec = _config(
+        ExperimentSpec, args,
+        train_path=_require_data(args),
+        problem=_problem_config(args),
+        solvers=tuple(_solver_config(args, m) for m in args.solver or [None]),
+        test_path=args.test_data)
     traces = run_experiment(spec)
     out_dir = Path(_get(args, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "traces.csv"
     write_trace_csv(traces, csv_path)
-    render_convergence_svg(traces, "optimality_gap", out_dir / "gap.svg")
-    wrote = [str(csv_path), str(out_dir / "gap.svg")]
-    if spec.test_path is not None:
-        render_convergence_svg(traces, "test_accuracy", out_dir / "accuracy.svg")
-        wrote.append(str(out_dir / "accuracy.svg"))
+    wrote = [str(csv_path), *_write_plots(traces, out_dir)]
     print(f"s2ml: benchmark complete; wrote {', '.join(wrote)}", file=sys.stderr)
     return 0
 
@@ -349,7 +327,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_fstar(args) -> int:
     path = _require_data(args)
     data = load_dataset(path)
-    problem = make_problem(_resolve_problem(args), data)
+    problem = make_problem(_problem_config(args), data)
     value = compute_f_star(problem, cache_dir=Path(path).parent)
     print(f"{value:.17g}")
     return 0
@@ -359,14 +337,7 @@ def _cmd_plot(args) -> int:
     traces = read_trace_csv(_require_data(args))
     out_dir = Path(_get(args, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    render_convergence_svg(traces, "optimality_gap", out_dir / "gap.svg")
-    wrote = [str(out_dir / "gap.svg")]
-    has_accuracy = any(t.test_accuracy is not None
-                       for reps in traces.values() for run in reps for t in run)
-    if has_accuracy:
-        render_convergence_svg(traces, "test_accuracy", out_dir / "accuracy.svg")
-        wrote.append(str(out_dir / "accuracy.svg"))
-    print(f"s2ml: wrote {', '.join(wrote)}", file=sys.stderr)
+    print(f"s2ml: wrote {', '.join(_write_plots(traces, out_dir))}", file=sys.stderr)
     return 0
 
 
@@ -385,11 +356,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
+        message = _name_flag(str(exc), parser.commands[args.command])
         print(parser.format_usage().rstrip(), file=sys.stderr)
-        print(f"s2ml: error: {exc}", file=sys.stderr)
+        print(f"s2ml: error: {message}", file=sys.stderr)
         return 1
     except (OSError, LibsvmParseError, ModelFormatError, ConvergenceError,
             ValueError) as exc:

@@ -26,7 +26,6 @@ __all__ = [
     "load_dataset",
     "dataset_from_rows",
     "serialize_dataset",
-    "row_dot",
 ]
 
 
@@ -219,33 +218,45 @@ def _assemble_entries(entries, lineno: int | None):
     return idx - 1, val
 
 
-def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
-    """Assemble a Dataset from ``(label, entries)`` pairs (as produced by
-    :func:`parse_libsvm_line`). Out-of-order indices are sorted; duplicate
-    indices within a row are an error."""
+def _assemble(rows, n_cols: int | None) -> Dataset:
+    """Build a validated Dataset from ``(lineno, label, entries)`` triples.
+
+    Each row's entries are sorted and checked as soon as it arrives, so a
+    caller may stream rows without holding them all as Python objects.
+    ``lineno`` labels any error raised for that row.
+    """
     labels: list[int] = []
     col_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    offsets = [0]
-    for ordinal, (label, entries) in enumerate(rows, start=1):
+    for lineno, label, entries in rows:
         if label not in (-1, 1):
-            raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", ordinal)
-        idx0, vals = _assemble_entries(entries, ordinal)
+            raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", lineno)
+        idx0, vals = _assemble_entries(entries, lineno)
         labels.append(label)
         col_parts.append(idx0)
         val_parts.append(vals)
-        offsets.append(offsets[-1] + idx0.size)
+    offsets = np.zeros(len(labels) + 1, dtype=np.int64)
+    if col_parts:
+        np.cumsum([c.size for c in col_parts], out=offsets[1:])
     cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
     vals = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
     seen = int(cols.max()) + 1 if cols.size else 0
     width = max(n_cols or 0, seen)
     ds = Dataset(
-        SparseMatrix(n_rows=len(labels), n_cols=width,
-                     row_offsets=np.asarray(offsets, dtype=np.int64),
+        SparseMatrix(n_rows=len(labels), n_cols=width, row_offsets=offsets,
                      col_indices=cols, values=vals),
         np.asarray(labels, dtype=np.int64))
     ds.validate()
     return ds
+
+
+def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
+    """Assemble a Dataset from ``(label, entries)`` pairs (as produced by
+    :func:`parse_libsvm_line`). Out-of-order indices are sorted; duplicate
+    indices within a row are an error, reported with the row's 1-based
+    ordinal as its line number."""
+    return _assemble(((ordinal, label, entries) for ordinal, (label, entries)
+                      in enumerate(rows, start=1)), n_cols)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -271,33 +282,20 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
     carry the offending 1-based line number.
     """
     path = Path(path)
-    parsed = []
     zero_seen = False
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        if not raw.split("#", 1)[0].strip():
-            continue
-        label, was_zero, entries = _parse_line(raw, lineno)
-        zero_seen = zero_seen or was_zero
-        idx0, vals = _assemble_entries(entries, lineno)
-        parsed.append((label, idx0, vals))
+
+    def rows():
+        nonlocal zero_seen
+        for lineno, raw in enumerate(_read_lines(path), start=1):
+            if not raw.split("#", 1)[0].strip():
+                continue
+            label, was_zero, entries = _parse_line(raw, lineno)
+            zero_seen = zero_seen or was_zero
+            yield lineno, label, entries
+
+    ds = _assemble(rows(), n_cols_hint)
     if zero_seen:
         warnings.warn(f"{path}: label '0' mapped to -1", stacklevel=2)
-
-    labels = np.array([p[0] for p in parsed], dtype=np.int64)
-    offsets = np.zeros(len(parsed) + 1, dtype=np.int64)
-    if parsed:
-        np.cumsum([p[1].size for p in parsed], out=offsets[1:])
-    cols = (np.concatenate([p[1] for p in parsed]) if parsed
-            else np.empty(0, dtype=np.int64))
-    vals = (np.concatenate([p[2] for p in parsed]) if parsed
-            else np.empty(0, dtype=np.float64))
-    seen = int(cols.max()) + 1 if cols.size else 0
-    width = max(n_cols_hint or 0, seen)
-    ds = Dataset(
-        SparseMatrix(n_rows=len(parsed), n_cols=width, row_offsets=offsets,
-                     col_indices=cols, values=vals),
-        labels)
-    ds.validate()
     return ds
 
 
@@ -323,12 +321,3 @@ def serialize_dataset(ds: Dataset) -> str:
                      for j, x in zip(m.col_indices[a:b], m.values[a:b]))
         out.append(" ".join(parts))
     return "\n".join(out) + ("\n" if out else "")
-
-
-def row_dot(m: SparseMatrix, row: int, v) -> float:
-    """Dot product of row ``row`` with a dense vector of length n_cols."""
-    a, b = int(m.row_offsets[row]), int(m.row_offsets[row + 1])
-    if a == b:
-        return 0.0
-    v = np.asarray(v)
-    return float(m.values[a:b] @ v[m.col_indices[a:b]])

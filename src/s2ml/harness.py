@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -74,7 +75,6 @@ class ExperimentSpec:
     test_path: str | Path | None = None
     f_star: float | str = "compute"
     repetitions: int = 1
-    deterministic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "solvers", tuple(self.solvers))
@@ -96,8 +96,6 @@ def dataset_digest(data: Dataset) -> str:
     return h.hexdigest()
 
 
-_FSTAR_MEMO: dict[tuple, float] = {}
-
 # the reference run favors accurate inner solves so the tail iterations stay
 # well above floating-point noise in the acceptance-ratio test
 _FSTAR_SOLVER = SolverConfig(method="tron", max_iters=1000, grad_tol=1e-12,
@@ -117,34 +115,38 @@ def compute_f_star(problem, cache_dir=None) -> float:
 
     Runs the trust-region Newton solver to a 1e-12 relative gradient norm.
     When ``cache_dir`` is given the value is persisted as
-    ``<digest>.fstar`` (17 significant digits) and reused on later calls.
+    ``<digest>.fstar`` (17 significant digits) and reused on later calls;
+    the file is replaced atomically, so a reader never sees a partial one.
     Raises :class:`ConvergenceError` if the run does not converge.
     """
-    key = _fstar_key(problem)
+    key = _fstar_key(problem) if cache_dir is not None else None
     cache_path = None
-    if cache_dir is not None and key is not None:
+    if key is not None:
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         cache_path = Path(cache_dir) / f"{digest}.fstar"
-    if key is not None and key in _FSTAR_MEMO:
-        value = _FSTAR_MEMO[key]
-        if cache_path is not None and not cache_path.exists():
-            cache_path.write_text(f"{value:.17g}\n")
-        return value
-    if cache_path is not None and cache_path.exists():
-        value = float(cache_path.read_text().strip())
-        _FSTAR_MEMO[key] = value
-        return value
+        if cache_path.exists():
+            return float(cache_path.read_text().strip())
     w, termination = run_solver(problem, _FSTAR_SOLVER)
     if termination != "converged":
         raise ConvergenceError(
             f"reference optimum did not converge (termination={termination}); "
             "increase the regularization weight or the iteration cap")
     value = float(problem.objective(w))
-    if key is not None:
-        _FSTAR_MEMO[key] = value
     if cache_path is not None:
-        cache_path.write_text(f"{value:.17g}\n")
+        _write_atomic(cache_path, f"{value:.17g}\n")
     return value
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temp file in the target's directory, then rename it over the
+    target; on any failure the temp file is removed."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _unique_names(configs) -> list[str]:

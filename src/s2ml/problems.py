@@ -161,9 +161,6 @@ class Problem:
 
         return hess_vec
 
-    def hess_vec(self, w, v, rows=None) -> np.ndarray:
-        return self.make_hess_vec(w, rows)(v)
-
     def predict_accuracy(self, data: Dataset, w) -> float:
         """Fraction of rows with sign(score) == label; sign(0) counts as +1."""
         if data.n_cols != self.data.n_cols:

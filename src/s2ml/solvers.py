@@ -572,8 +572,10 @@ def run_solver(problem, config: SolverConfig, callback=None):
     raising callback aborts the run without propagating.
 
     Returns ``(w, termination)`` with termination one of ``"converged"``
-    (relative gradient-norm test), ``"max_iters"``, or ``"stalled"`` (20
-    consecutive rejected steps).
+    (relative gradient-norm test), ``"max_iters"``, ``"stalled"`` (20
+    consecutive rejected steps), or ``"non_finite"`` (the objective or the
+    gradient norm is not finite, e.g. the norm overflowed; checked before
+    the convergence test, which such values would pass or fail spuriously).
     """
     step_fn = _STEPS[config.method]
     state = init_state(problem, config)
@@ -585,7 +587,10 @@ def run_solver(problem, config: SolverConfig, callback=None):
     if not _emit(callback, initial):
         return state.w, "stalled"
     while True:
-        if _norm(state.grad) <= config.grad_tol * state.grad_norm0:
+        grad_norm = _norm(state.grad)
+        if not (math.isfinite(grad_norm) and math.isfinite(state.obj)):
+            return state.w, "non_finite"
+        if grad_norm <= config.grad_tol * state.grad_norm0:
             return state.w, "converged"
         if state.iter >= config.max_iters:
             return state.w, "max_iters"

@@ -63,9 +63,6 @@ class QuadraticProblem:
     def make_hess_vec(self, w, rows=None):
         return lambda v: self.A @ np.asarray(v, dtype=np.float64)
 
-    def hess_vec(self, w, v, rows=None):
-        return self.make_hess_vec(w, rows)(v)
-
 
 def fd_gradient(problem, w, h=1e-6, rows=None):
     """Central finite differences of the objective."""

@@ -7,6 +7,7 @@ from s2ml.cli import MODEL_MAGIC, ModelFormatError, main, read_model, write_mode
 from s2ml.data import load_dataset
 from s2ml.harness import CSV_HEADER, read_trace_csv
 from s2ml.problems import ProblemConfig, make_problem
+from s2ml.solvers import METHODS, SolverConfig, run_solver
 
 
 @pytest.fixture()
@@ -114,6 +115,24 @@ class TestTrain:
         rc = main(["train", "--data", str(bad)])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gradient_norm_is_not_convergence(self, tmp_path, method,
+                                                          capsys):
+        # the gradient at w = 0 is finite, but its 2-norm overflows to inf,
+        # and inf <= grad_tol * inf would pass the relative test
+        path = tmp_path / "huge.libsvm"
+        path.write_text("+1 1:1e308\n-1 2:1e308\n+1 1:1e308 2:1e308\n")
+        problem = make_problem(ProblemConfig(), load_dataset(path))
+        w, termination = run_solver(problem, SolverConfig(method=method))
+        assert termination == "non_finite" and not np.any(w)
+        out = tmp_path / "model.txt"
+        rc = main(["train", "--data", str(path), "--solver", method,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchmark:
@@ -235,13 +254,31 @@ class TestConfigFile:
         rc = main(["train", "--config", str(cfg), "--data", train])
         assert rc == 1
 
-    def test_train_uses_last_config_solver(self, tmp_path, train):
+    def test_train_uses_last_config_solver(self, tmp_path, train, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("solver = tron\nsolver = lbfgs\nmax-iters = 2\n")
         out = tmp_path / "m.txt"
         rc = main(["train", "--config", str(cfg), "--data", train,
                    "--out", str(out)])
         assert rc == 0
+        assert "lbfgs finished" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line,flag", [
+        ("train", "cg-rtol = 1.5", "--cg-rtol"),
+        ("train", "lambda = -1", "--lambda"),
+        ("benchmark", "reps = 0", "--reps"),
+        ("train", "solver = bogus", None),
+        ("train", "problem = bogus", None),
+    ], ids=["cg-rtol", "lambda", "reps", "solver", "problem"])
+    def test_out_of_range_value_exits_1(self, tmp_path, train, command, line,
+                                        flag, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([command, "--config", str(cfg), "--data", train,
+                   "--max-iters", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err if flag is None else flag in err
 
 
 BAD_FLAG_CASES = [
@@ -258,7 +295,6 @@ BAD_FLAG_CASES = [
     (["--batch0-frac", "0"], "--batch0-frac"),
     (["--batch-growth", "0.5"], "--batch-growth"),
     (["--reps", "0"], "--reps"),
-    (["--threads", "0"], "--threads"),
     (["--frobnicate"], "--frobnicate"),
 ]
 
@@ -282,7 +318,6 @@ class TestFlagGrammar:
         rc = main(["benchmark", "--data", train, "--solver", "stron",
                    "--batch0-frac", "0.25", "--batch-growth", "2",
                    "--cg-max-iters", "10", "--cg-rtol", "0.5",
-                   "--tr-radius0", "2.0", "--seed", "7", "--threads", "2",
-                   "--deterministic", "--max-iters", "4",
+                   "--tr-radius0", "2.0", "--seed", "7", "--max-iters", "4",
                    "--out-dir", str(out_dir)])
         assert rc == 0

@@ -7,7 +7,7 @@ import pytest
 from helpers import random_dataset, random_rows
 from s2ml.data import (Dataset, LibsvmParseError, SparseMatrix,
                        dataset_from_rows, load_dataset, parse_libsvm_line,
-                       row_dot, serialize_dataset)
+                       serialize_dataset)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -194,23 +194,3 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="-1 or \\+1"):
             ds.validate()
 
-
-class TestRowDot:
-    def test_single_nonzero(self):
-        m = SparseMatrix(1, 2, [0, 1], [0], [2.0])
-        assert row_dot(m, 0, np.array([3.0, 1.0])) == 6.0
-
-    def test_empty_row(self):
-        m = SparseMatrix(2, 2, [0, 0, 1], [1], [5.0])
-        assert row_dot(m, 0, np.array([1.0, 1.0])) == 0.0
-
-    def test_against_dense_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            ds = random_dataset(rng, 6, 10)
-            dense = ds.features.csr.toarray()
-            v = rng.normal(size=10)
-            for i in range(ds.n_rows):
-                expect = float(dense[i] @ v)
-                got = row_dot(ds.features, i, v)
-                assert got == pytest.approx(expect, rel=1e-15, abs=1e-15)

@@ -1,11 +1,11 @@
 import hashlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import s2ml.harness as harness
 from helpers import QuadraticProblem, classification_dataset
 from s2ml.data import serialize_dataset
 from s2ml.harness import (CSV_HEADER, ConvergenceError, ExperimentSpec,
@@ -17,13 +17,6 @@ from s2ml.solvers import SolverConfig, run_solver
 from s2ml.data import dataset_from_rows
 
 LN2 = 0.6931471805599453
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    harness._FSTAR_MEMO.clear()
-    yield
-    harness._FSTAR_MEMO.clear()
 
 
 def write_split(tmp_path, name, dataset):
@@ -64,14 +57,19 @@ class TestComputeFStar:
         assert float(files[0].read_text()) == value
         # prove the file is the source on a cold read
         files[0].write_text("1.5\n")
-        harness._FSTAR_MEMO.clear()
         assert compute_f_star(problem, cache_dir=tmp_path) == 1.5
 
-    def test_memo_avoids_recompute(self):
-        data = small_instance(3)
-        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1), data)
-        first = compute_f_star(problem)
-        assert compute_f_star(problem) == first
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # a crash between writing and renaming must not leave a partial cache
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
+                               small_instance(3))
+        with pytest.raises(OSError, match="simulated"):
+            compute_f_star(problem, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonconvergence_raises(self):
         class Hopeless(QuadraticProblem):
@@ -111,7 +109,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             problem=ProblemConfig(kind="logistic", lam=0.05),
             solvers=[SolverConfig(method="tron", grad_tol=1e-8)],
-            train_path=train, repetitions=2, deterministic=True)
+            train_path=train, repetitions=2)
         traces = run_experiment(spec)
         rep0, rep1 = traces["tron"]
         assert [(r.iter, r.objective, r.grad_norm) for r in rep0] == \
@@ -123,7 +121,7 @@ class TestRunExperiment:
         test = write_split(tmp_path, "test.libsvm", small_instance(9))
         base = dict(problem=ProblemConfig(kind="logistic", lam=0.05),
                     solvers=[SolverConfig(method="tron", grad_tol=1e-8)],
-                    train_path=train, deterministic=True)
+                    train_path=train)
         with_test = run_experiment(ExperimentSpec(test_path=test, **base))
         without = run_experiment(ExperimentSpec(**base))
         a = [r.objective for r in with_test["tron"][0]]

@@ -152,14 +152,14 @@ class TestGradient:
 class TestHessVec:
     def test_logistic_single_point(self):
         problem = rows_problem("logistic", [(1, [(1, 2.0)])], lam=0.0, n_cols=2)
-        hv = problem.hess_vec(np.zeros(2), np.array([1.0, 0.0]))
+        hv = problem.make_hess_vec(np.zeros(2))(np.array([1.0, 0.0]))
         assert np.allclose(hv, [1.0, 0.0], atol=1e-16)
 
     def test_zero_vector(self):
         rng = np.random.default_rng(7)
         for kind in ("logistic", "svm-l2"):
             problem, w = random_problem(rng, kind, 0.5)
-            hv = problem.hess_vec(w, np.zeros(problem.dim))
+            hv = problem.make_hess_vec(w)(np.zeros(problem.dim))
             assert np.all(hv == 0.0)
 
     @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
@@ -173,7 +173,7 @@ class TestHessVec:
                 if np.abs(margins - 1.0).min() < 1e-3:
                     continue  # stay away from the kink
             v = rng.normal(size=problem.dim)
-            hv = problem.hess_vec(w, v)
+            hv = problem.make_hess_vec(w)(v)
             fd = fd_hess_vec(problem, w, v)
             denom = max(float(np.abs(hv).max()), 1e-8)
             assert float(np.abs(fd - hv).max()) / denom < 1e-5
@@ -206,14 +206,6 @@ class TestHessVec:
                     quad = float(v @ hv(v))
                     bias_free = v[:-1] if problem.add_bias else v
                     assert quad >= lam * float(bias_free @ bias_free) - 1e-12
-
-    def test_bound_operator_matches_hess_vec(self):
-        rng = np.random.default_rng(11)
-        problem, w = random_problem(rng, "logistic", 0.1, n=15, d=5)
-        rows = np.array([0, 3, 9])
-        hv = problem.make_hess_vec(w, rows)
-        v = rng.normal(size=problem.dim)
-        assert np.array_equal(hv(v), problem.hess_vec(w, v, rows))
 
 
 class TestPredictAccuracy:
