@@ -11,8 +11,10 @@ from __future__ import annotations
 import gzip
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,9 @@ __all__ = [
     "dataset_from_rows",
     "serialize_dataset",
 ]
+
+
+_INDEX, _VALUE = itemgetter(0), itemgetter(1)
 
 
 class LibsvmParseError(ValueError):
@@ -203,43 +208,34 @@ def parse_libsvm_line(line: str, lineno: int | None = None):
     return label, entries
 
 
-def _assemble_entries(entries, lineno: int | None):
-    """Sort a row's entries by index, reject duplicates, shift to 0-based."""
-    if not entries:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    idx = np.array([e[0] for e in entries], dtype=np.int64)
-    val = np.array([e[1] for e in entries], dtype=np.float64)
-    order = np.argsort(idx, kind="stable")
-    idx = idx[order]
-    val = val[order]
-    dup = np.nonzero(idx[1:] == idx[:-1])[0]
-    if dup.size:
-        raise LibsvmParseError(f"duplicate feature index {int(idx[dup[0]])}", lineno)
-    return idx - 1, val
-
-
 def _assemble(rows, n_cols: int | None) -> Dataset:
     """Build a validated Dataset from ``(lineno, label, entries)`` triples.
 
-    Each row's entries are sorted and checked as soon as it arrives, so a
+    Each row's entries are sorted stably by index and checked for
+    duplicates as soon as it arrives, then appended to flat buffers, so a
     caller may stream rows without holding them all as Python objects.
     ``lineno`` labels any error raised for that row.
     """
     labels: list[int] = []
-    col_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
+    offsets = array("q", [0])
+    cols = array("q")  # 1-based until the end
+    vals = array("d")
     for lineno, label, entries in rows:
         if label not in (-1, 1):
             raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", lineno)
-        idx0, vals = _assemble_entries(entries, lineno)
+        entries = sorted(entries, key=_INDEX)
+        idx = list(map(_INDEX, entries))
+        if len(set(idx)) < len(idx):
+            dup = next(a for a, b in zip(idx, idx[1:]) if a == b)
+            raise LibsvmParseError(f"duplicate feature index {int(dup)}", lineno)
         labels.append(label)
-        col_parts.append(idx0)
-        val_parts.append(vals)
-    offsets = np.zeros(len(labels) + 1, dtype=np.int64)
-    if col_parts:
-        np.cumsum([c.size for c in col_parts], out=offsets[1:])
-    cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
+        cols.extend(idx)
+        vals.extend(map(_VALUE, entries))
+        offsets.append(len(cols))
+    cols = np.frombuffer(cols, dtype=np.int64)
+    cols -= 1
+    vals = np.frombuffer(vals, dtype=np.float64)
+    offsets = np.frombuffer(offsets, dtype=np.int64)
     seen = int(cols.max()) + 1 if cols.size else 0
     width = max(n_cols or 0, seen)
     ds = Dataset(
@@ -252,9 +248,10 @@ def _assemble(rows, n_cols: int | None) -> Dataset:
 
 def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
     """Assemble a Dataset from ``(label, entries)`` pairs (as produced by
-    :func:`parse_libsvm_line`). Out-of-order indices are sorted; duplicate
-    indices within a row are an error, reported with the row's 1-based
-    ordinal as its line number."""
+    :func:`parse_libsvm_line`); indices must be integers and values real
+    numbers. Out-of-order indices are sorted; duplicate indices within a row
+    are an error, reported with the row's 1-based ordinal as its line
+    number."""
     return _assemble(((ordinal, label, entries) for ordinal, (label, entries)
                       in enumerate(rows, start=1)), n_cols)
 

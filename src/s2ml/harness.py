@@ -14,6 +14,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -234,7 +235,9 @@ def write_trace_csv(traces: dict[str, list[list[TraceRecord]]], path) -> None:
 
 
 def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
-    """Inverse of :func:`write_trace_csv` (bit-exact for finite values)."""
+    """Inverse of :func:`write_trace_csv` (bit-exact for finite values).
+
+    Each solver's reps must run 0, 1, ... without gaps, as written."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -250,8 +253,11 @@ def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
             solver, rep_s, it, wall, obj, gap, acc, gn, rows = row
             rep = int(rep_s)
             reps = out.setdefault(solver, [])
-            while len(reps) <= rep:
+            if rep == len(reps):
                 reps.append([])
+            if rep < 0 or rep != len(reps) - 1:
+                raise ValueError(f"{path}: solver {solver!r} jumps to rep {rep}; "
+                                 "its reps must run 0, 1, ... without gaps")
             reps[rep].append(TraceRecord(
                 iter=int(it), wall_time_s=float(wall), objective=float(obj),
                 optimality_gap=float(gap),
@@ -359,7 +365,7 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
         Y = _MT + 10 + 18 * si
         el.append(f'<line x1="{_W - _MR + 12}" y1="{Y}" x2="{_W - _MR + 36}" '
                   f'y2="{Y}" stroke="{color}" stroke-width="2"/>')
-        el.append(f'<text x="{_W - _MR + 42}" y="{Y + 4}">{name}</text>')
+        el.append(f'<text x="{_W - _MR + 42}" y="{Y + 4}">{escape(name)}</text>')
     el.append("</g>")
     el.append("</svg>")
     Path(path).write_text("\n".join(el) + "\n")

@@ -94,15 +94,19 @@ class Problem:
         raise NotImplementedError
 
     # -- shared machinery ------------------------------------------------
-    def _select(self, rows):
-        if rows is None:
-            return self._X, self._y
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0:
-            raise ValueError("rows must be a non-empty 1-d index array")
-        if rows[0] < 0 or rows[-1] >= self.n_rows or np.any(np.diff(rows) <= 0):
-            raise ValueError("rows must be sorted, distinct and within [0, n_rows)")
-        return self._X[rows], self._y[rows]
+    def _eval(self, w, rows):
+        """Select the rows, split off the bias and return ``(X, y, wf, m)``
+        with the margins m = y * (X @ wf + bias)."""
+        X, y = self._X, self._y
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or rows.size == 0:
+                raise ValueError("rows must be a non-empty 1-d index array")
+            if rows[0] < 0 or rows[-1] >= self.n_rows or np.any(np.diff(rows) <= 0):
+                raise ValueError("rows must be sorted, distinct and within [0, n_rows)")
+            X, y = X[rows], y[rows]
+        wf, b = self._split(w)
+        return X, y, wf, y * (X @ wf + b)
 
     def _split(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -115,20 +119,14 @@ class Problem:
 
     def margins(self, w, rows=None) -> np.ndarray:
         """m_i = y_i * (w . x_i [+ bias]) over the selected rows."""
-        X, y = self._select(rows)
-        wf, b = self._split(w)
-        return y * (X @ wf + b)
+        return self._eval(w, rows)[3]
 
     def objective(self, w, rows=None) -> float:
-        X, y = self._select(rows)
-        wf, b = self._split(w)
-        m = y * (X @ wf + b)
+        _, _, wf, m = self._eval(w, rows)
         return float(np.mean(self._loss(m)) + 0.5 * self.lam * (wf @ wf))
 
     def gradient(self, w, rows=None) -> np.ndarray:
-        X, y = self._select(rows)
-        wf, b = self._split(w)
-        m = y * (X @ wf + b)
+        X, y, wf, m = self._eval(w, rows)
         c = self._dmargin(m) * y / m.size
         gf = X.T @ c + self.lam * wf
         if self.add_bias:
@@ -141,9 +139,7 @@ class Problem:
         The pointwise curvature is computed once, so the returned operator
         is cheap to apply repeatedly, e.g. inside conjugate gradients.
         """
-        X, y = self._select(rows)
-        wf, b = self._split(w)
-        m = y * (X @ wf + b)
+        X, _, _, m = self._eval(w, rows)
         h = self._curvature(m) / m.size
         lam = self.lam
         bias = self.add_bias

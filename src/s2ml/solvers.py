@@ -46,6 +46,9 @@ _CURVATURE_TOL = 1e-10  # discard (s, y) pairs with s.y <= tol * |s||y|
 _ARMIJO_C = 1e-4
 _ARMIJO_HALVINGS = 50
 _STALL_LIMIT = 20
+# trust-region ratio thresholds and radius multipliers, as in LIBLINEAR's TRON
+_ETA0, _ETA1, _ETA2 = 1e-4, 0.25, 0.75
+_SIGMA1, _SIGMA2, _SIGMA3 = 0.25, 0.5, 4.0
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,6 @@ class SolverConfig:
     """Hyperparameters for one solver run.
 
     ``grad_tol`` is relative: the run stops once ||g|| <= grad_tol * ||g0||.
-    ``eta`` are the acceptance/quality thresholds of the trust-region ratio
-    test and ``radius_factors`` the shrink/shrink/expand multipliers.
     ``batch0_frac``/``batch_growth`` control the Hessian subsample schedule
     of ``stron``; the other methods ignore them.
     """
@@ -65,8 +66,6 @@ class SolverConfig:
     cg_max_iters: int = 25
     cg_rtol: float = 0.1
     tr_radius0: float = 1.0
-    eta: tuple[float, float, float] = (1e-4, 0.25, 0.75)
-    radius_factors: tuple[float, float, float] = (0.25, 0.5, 4.0)
     lbfgs_memory: int = 10
     batch0_frac: float = 0.1
     batch_growth: float = 1.5
@@ -85,12 +84,6 @@ class SolverConfig:
             raise ValueError("cg_rtol must be in (0, 1)")
         if not (self.tr_radius0 > 0):
             raise ValueError("tr_radius0 must be > 0")
-        e0, e1, e2 = self.eta
-        if not (0.0 < e0 < e1 < e2 < 1.0):
-            raise ValueError("eta must satisfy 0 < eta0 < eta1 < eta2 < 1")
-        s1, s2, s3 = self.radius_factors
-        if not (s1 <= s2 < 1.0 < s3):
-            raise ValueError("radius_factors must satisfy s1 <= s2 < 1 < s3")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
         if not (0.0 < self.batch0_frac <= 1.0):
@@ -119,10 +112,11 @@ class SolverState:
 class IterationSnapshot:
     """State after one iteration; ``w`` is a view, not a copy.
 
-    ``tr_radius_or_step`` holds the trust-region radius after its update for
-    tron/stron and the norm of the accepted step for the line-search
-    methods. ``rows_touched`` counts Hessian-operator row evaluations of
-    this iteration only.
+    ``tr_radius`` is the trust-region radius after its update for tron/stron
+    and ``None`` for the line-search methods. ``step_norm`` is the norm of
+    the accepted step, 0.0 for a rejected step and at iteration 0.
+    ``rows_touched`` counts Hessian-operator row evaluations of this
+    iteration only.
     """
 
     iter: int
@@ -130,7 +124,8 @@ class IterationSnapshot:
     objective: float
     grad_norm: float
     step_accepted: bool
-    tr_radius_or_step: float
+    tr_radius: float | None
+    step_norm: float
     cg_iters_used: int
     rows_touched: int
 
@@ -324,6 +319,27 @@ def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarra
 # Step operations
 # ---------------------------------------------------------------------------
 
+def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
+            g_new=None, *, cg_iters: int = 0, rows_touched: int = 0,
+            tr_radius: float | None = None) -> IterationSnapshot:
+    """Commit the trial point ``w_new = state.w + step`` with objective
+    ``f_new`` (and gradient ``g_new``, evaluated here when not given) if the
+    step was accepted, else count a rejection; then close the iteration."""
+    if accepted:
+        state.w = w_new
+        state.obj = f_new
+        state.grad = g_new if g_new is not None else problem.gradient(w_new)
+        state.consecutive_rejects = 0
+    else:
+        state.consecutive_rejects += 1
+    state.iter += 1
+    return IterationSnapshot(
+        iter=state.iter, w=state.w, objective=state.obj,
+        grad_norm=_norm(state.grad), step_accepted=accepted,
+        tr_radius=tr_radius, step_norm=_norm(step) if accepted else 0.0,
+        cg_iters_used=cg_iters, rows_touched=rows_touched)
+
+
 def _trust_region_step(problem, state: SolverState, config: SolverConfig,
                        rows, batch_rows: int) -> IterationSnapshot:
     g = state.grad
@@ -344,14 +360,12 @@ def _trust_region_step(problem, state: SolverState, config: SolverConfig,
     w_new = state.w + s
     f_new = problem.objective(w_new)
 
-    eta0, eta1, eta2 = config.eta
-    s1, s2, s3 = config.radius_factors
     noise = 16.0 * np.finfo(np.float64).eps * (1.0 + abs(f_old))
     g_new = None
     if pred <= 0.0:
         # numerical breakdown of the model decrease; treat as a rejection
         accepted = False
-        state.tr_radius = s2 * state.tr_radius
+        state.tr_radius = _SIGMA2 * state.tr_radius
     elif pred <= noise:
         # The model reduction sits at roundoff, so the ratio test carries no
         # information. Accept on plain descent, or on a gradient-norm
@@ -361,32 +375,22 @@ def _trust_region_step(problem, state: SolverState, config: SolverConfig,
         accepted = f_new <= f_old or _norm(g_new) < _norm(g)
         if accepted:
             f_new = min(f_old, f_new)
-            state.tr_radius = min(s3 * state.tr_radius, _MAX_RADIUS)
+            state.tr_radius = min(_SIGMA3 * state.tr_radius, _MAX_RADIUS)
         else:
-            state.tr_radius = s2 * min(state.tr_radius, snorm)
+            state.tr_radius = _SIGMA2 * min(state.tr_radius, snorm)
     else:
         rho = (f_old - f_new) / pred
-        accepted = rho > eta0
+        accepted = rho > _ETA0
         if not accepted:
-            state.tr_radius = s2 * min(state.tr_radius, snorm)
-        elif rho < eta1:
-            state.tr_radius = max(s1 * state.tr_radius, s2 * snorm)
-        elif rho > eta2 and snorm >= state.tr_radius * (1.0 - 1e-10):
-            state.tr_radius = min(s3 * state.tr_radius, _MAX_RADIUS)
+            state.tr_radius = _SIGMA2 * min(state.tr_radius, snorm)
+        elif rho < _ETA1:
+            state.tr_radius = max(_SIGMA1 * state.tr_radius, _SIGMA2 * snorm)
+        elif rho > _ETA2 and snorm >= state.tr_radius * (1.0 - 1e-10):
+            state.tr_radius = min(_SIGMA3 * state.tr_radius, _MAX_RADIUS)
 
-    if accepted:
-        state.w = w_new
-        state.obj = f_new
-        state.grad = g_new if g_new is not None else problem.gradient(w_new)
-        state.consecutive_rejects = 0
-    else:
-        state.consecutive_rejects += 1
-    state.iter += 1
-    return IterationSnapshot(
-        iter=state.iter, w=state.w, objective=state.obj,
-        grad_norm=_norm(state.grad), step_accepted=accepted,
-        tr_radius_or_step=state.tr_radius, cg_iters_used=cg_iters,
-        rows_touched=(cg_iters + 1) * batch_rows)
+    return _finish(problem, state, accepted, s, w_new, f_new, g_new,
+                   cg_iters=cg_iters, rows_touched=(cg_iters + 1) * batch_rows,
+                   tr_radius=state.tr_radius)
 
 
 def tron_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
@@ -413,15 +417,17 @@ def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSn
     return snap
 
 
-def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int) -> np.ndarray:
+def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int):
     """Unpreconditioned CG on H x = -g; stops at a relative residual or on
-    non-positive curvature (returning the progress so far)."""
+    non-positive curvature (returning the progress so far). Returns ``(x,
+    number of Hessian products)``."""
     x = np.zeros_like(g)
     r = g.copy()
     p = -g
     rr = float(g @ g)
     target = rtol * math.sqrt(rr)
-    for _ in range(max_iters):
+    calls = 0
+    for calls in range(1, max_iters + 1):
         Hp = hv(p)
         kappa = float(p @ Hp)
         if kappa <= 0.0:
@@ -434,58 +440,34 @@ def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int) -> np.ndarray:
             break
         p = -r + (rr_new / rr) * p
         rr = rr_new
-    return x
+    return x, calls
 
 
-def _armijo(problem, w: np.ndarray, f0: float, g: np.ndarray, d: np.ndarray):
-    """Backtracking line search (halving) under the sufficient-decrease rule."""
-    gd = float(g @ d)
+def _armijo(problem, state: SolverState, d: np.ndarray):
+    """Backtracking line search (halving) from ``state.w`` along ``d`` under
+    the sufficient-decrease rule. Returns ``(accepted, step, w_new, f_new)``
+    in the argument order of :func:`_finish`."""
+    w, f0 = state.w, state.obj
+    gd = float(state.grad @ d)
     t = 1.0
     for _ in range(_ARMIJO_HALVINGS + 1):
-        f_new = problem.objective(w + t * d)
+        step = t * d
+        w_new = w + step
+        f_new = problem.objective(w_new)
         if f_new <= f0 + _ARMIJO_C * t * gd:
-            return t, f_new, True
+            return True, step, w_new, f_new
         t *= 0.5
-    return 0.0, f0, False
-
-
-def _line_search_update(problem, state: SolverState, d: np.ndarray):
-    t, f_new, accepted = _armijo(problem, state.w, state.obj, state.grad, d)
-    step = t * d if accepted else None
-    if accepted:
-        w_new = state.w + step
-        g_new = problem.gradient(w_new)
-        result = (step, state.grad, g_new)
-        state.w = w_new
-        state.obj = f_new
-        state.grad = g_new
-        state.consecutive_rejects = 0
-    else:
-        result = (None, state.grad, state.grad)
-        state.consecutive_rejects += 1
-    state.iter += 1
-    return accepted, result
+    return False, None, None, None
 
 
 def newton_cg_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
     """Inexact Newton iteration: CG to a relative residual, then backtracking."""
     g = state.grad
-    hv = problem.make_hess_vec(state.w, None)
-    calls = 0
-
-    def counted(v):
-        nonlocal calls
-        calls += 1
-        return hv(v)
-
-    x = _cg_solve(counted, g, config.cg_rtol, config.cg_max_iters)
+    x, calls = _cg_solve(problem.make_hess_vec(state.w, None), g,
+                         config.cg_rtol, config.cg_max_iters)
     d = -g if float(x @ g) >= 0.0 else x
-    accepted, (step, _, _) = _line_search_update(problem, state, d)
-    return IterationSnapshot(
-        iter=state.iter, w=state.w, objective=state.obj,
-        grad_norm=_norm(state.grad), step_accepted=accepted,
-        tr_radius_or_step=_norm(step) if accepted else 0.0,
-        cg_iters_used=calls, rows_touched=calls * problem.n_rows)
+    return _finish(problem, state, *_armijo(problem, state, d),
+                   cg_iters=calls, rows_touched=calls * problem.n_rows)
 
 
 def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
@@ -517,16 +499,13 @@ def lbfgs_step(problem, state: SolverState, config: SolverConfig) -> IterationSn
     d = lbfgs_direction(state.lbfgs_pairs, g)
     if float(d @ g) >= 0.0:
         d = -g
-    accepted, (step, g_old, g_new) = _line_search_update(problem, state, d)
+    accepted, step, w_new, f_new = _armijo(problem, state, d)
+    snapshot = _finish(problem, state, accepted, step, w_new, f_new)
     if accepted:
-        y = g_new - g_old
+        y = state.grad - g
         if float(step @ y) > _CURVATURE_TOL * _norm(step) * _norm(y):
             state.lbfgs_pairs.append((step, y))
-    return IterationSnapshot(
-        iter=state.iter, w=state.w, objective=state.obj,
-        grad_norm=_norm(state.grad), step_accepted=accepted,
-        tr_radius_or_step=_norm(step) if accepted else 0.0,
-        cg_iters_used=0, rows_touched=0)
+    return snapshot
 
 
 _STEPS = {
@@ -582,8 +561,8 @@ def run_solver(problem, config: SolverConfig, callback=None):
     initial = IterationSnapshot(
         iter=0, w=state.w, objective=state.obj, grad_norm=state.grad_norm0,
         step_accepted=True,
-        tr_radius_or_step=state.tr_radius if config.method in ("tron", "stron") else 0.0,
-        cg_iters_used=0, rows_touched=0)
+        tr_radius=state.tr_radius if config.method in ("tron", "stron") else None,
+        step_norm=0.0, cg_iters_used=0, rows_touched=0)
     if not _emit(callback, initial):
         return state.w, "stalled"
     while True:

@@ -1,4 +1,5 @@
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -208,6 +209,30 @@ class TestFstarAndPlot:
 
     def test_plot_missing_file_exits_2(self, tmp_path):
         assert main(["plot", "--data", str(tmp_path / "nope.csv")]) == 2
+
+    @staticmethod
+    def _traces(tmp_path, solver, reps):
+        path = tmp_path / "traces.csv"
+        rows = [f"{solver},{rep},{i},{0.1 * (i + 1)},1.5,{0.5 / (i + 1)},,1.0,0"
+                for rep in reps for i in range(2)]
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        return path
+
+    def test_plot_escapes_solver_names(self, tmp_path):
+        name = "a<b&c"
+        path = self._traces(tmp_path, name, [0])
+        assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == 0
+        root = ElementTree.parse(tmp_path / "gap.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == name
+
+    @pytest.mark.parametrize("reps", [[-1], [0, 2]], ids=["negative", "gap"])
+    def test_plot_rejects_out_of_sequence_rep(self, tmp_path, capsys, reps):
+        path = self._traces(tmp_path, "tron", reps)
+        assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"rep {reps[-1]}" in err
+        assert not (tmp_path / "gap.svg").exists()
 
 
 class TestConfigFile:

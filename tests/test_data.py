@@ -134,6 +134,34 @@ class TestLoad:
             load_dataset(p).validate()
 
 
+class TestRowsInput:
+    # row inputs beyond parse_libsvm_line's (int, [(int, float)]) pairs:
+    # other numeric types, unsorted rows and the duplicate-index error
+    @pytest.mark.parametrize("rows, expected", [
+        ([(1.0, [(2, 0.5)])], ([1], [0, 1], [1], [0.5])),
+        ([(-1, [(np.int64(3), 0.5), (np.int64(1), 2.0)])],
+         ([-1], [0, 2], [0, 2], [2.0, 0.5])),
+        ([(1, [(1, 2), (4, -3)])], ([1], [0, 2], [0, 3], [2.0, -3.0])),
+        ([(1, [(1, 1.0)]), (-1, [(9, 1.0), (2, 2.0), (5, 3.0)])],
+         ([1, -1], [0, 1, 4], [0, 1, 4, 8], [1.0, 2.0, 3.0, 1.0])),
+        ([(1, [(1, 1.0)]), (-1, [(7, 1.0), (4, 2.0), (7, 3.0), (4, 4.0)])],
+         "line 2: duplicate feature index 4"),
+    ], ids=["float-label", "numpy-int-index", "int-values", "unsorted", "duplicate"])
+    def test_accepted_inputs(self, rows, expected):
+        if isinstance(expected, str):
+            with pytest.raises(LibsvmParseError, match=expected) as info:
+                dataset_from_rows(rows)
+            assert info.value.lineno == 2
+            return
+        labels, offsets, cols, vals = expected
+        ds = dataset_from_rows(rows)
+        assert ds.labels.tolist() == labels and ds.labels.dtype == np.int64
+        m = ds.features
+        assert m.row_offsets.tolist() == offsets
+        assert m.col_indices.tolist() == cols and m.col_indices.dtype == np.int64
+        assert m.values.tolist() == vals and m.values.dtype == np.float64
+
+
 class TestSerialize:
     def test_single_row(self):
         ds = dataset_from_rows([(1, [(1, 0.5)])])

@@ -41,8 +41,6 @@ class TestConfigValidation:
         {"cg_rtol": 1.0},
         {"cg_rtol": 0.0},
         {"tr_radius0": -1.0},
-        {"eta": (0.5, 0.25, 0.75)},
-        {"radius_factors": (0.5, 1.5, 4.0)},
         {"batch0_frac": 0.0},
         {"batch0_frac": 1.5},
         {"batch_growth": 0.5},
@@ -135,11 +133,15 @@ class TestTronStep:
         problem = QuadraticProblem(np.eye(2))
         config = SolverConfig(method="tron", tr_radius0=1.0)
         state = make_state(problem, config, [3.0, 4.0])
+        w_old = state.w
         snap = tron_step(problem, state, config)
         assert snap.step_accepted
         # step of unit length along -w/||w||
         assert np.allclose(state.w, [3.0 - 0.6, 4.0 - 0.8], atol=1e-12)
         assert state.tr_radius == 4.0
+        assert snap.tr_radius == 4.0
+        assert snap.step_norm == pytest.approx(np.linalg.norm(state.w - w_old),
+                                               rel=1e-15)
 
     def test_monotone_descent_until_tiny_gradient(self):
         problem = logistic_problem(0, 50, 5, lam=1.0)
@@ -170,6 +172,7 @@ class TestTronStep:
         snap = tron_step(problem, state, config)
         assert not snap.step_accepted
         assert state.tr_radius == 0.5 * radius_before
+        assert (snap.tr_radius, snap.step_norm) == (state.tr_radius, 0.0)
 
     def test_model_denominator_breakdown_rejects_with_plain_halving(self):
         class Inconsistent(QuadraticProblem):
@@ -214,10 +217,10 @@ class TestStronStep:
                                          batch0_frac=1.0), b.append)
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert (x.iter, x.objective, x.grad_norm, x.tr_radius_or_step,
-                    x.step_accepted) == \
-                   (y.iter, y.objective, y.grad_norm, y.tr_radius_or_step,
-                    y.step_accepted)
+            assert (x.iter, x.objective, x.grad_norm, x.tr_radius,
+                    x.step_norm, x.step_accepted) == \
+                   (y.iter, y.objective, y.grad_norm, y.tr_radius,
+                    y.step_norm, y.step_accepted)
 
     def test_reaches_tron_objective(self):
         problem = logistic_problem(3, 200, 20, lam=0.01)
@@ -245,7 +248,8 @@ class TestNewtonCg:
         assert snap.cg_iters_used == 1
         assert np.allclose(state.w, [0.0, 0.0], atol=1e-15)
         # full step accepted: length equals the Newton step length
-        assert snap.tr_radius_or_step == pytest.approx(5.0)
+        assert snap.step_norm == pytest.approx(5.0)
+        assert snap.tr_radius is None
 
     def test_steepest_descent_fallback(self):
         class NegativeOracle(QuadraticProblem):
@@ -283,7 +287,7 @@ class TestNewtonCg:
         state = make_state(problem, config, [1.0, 1.0])
         snap = newton_cg_step(problem, state, config)
         assert not snap.step_accepted
-        assert snap.tr_radius_or_step == 0.0
+        assert snap.step_norm == 0.0
         assert np.allclose(state.w, [1.0, 1.0])
 
 
