@@ -3,7 +3,9 @@
 Datasets are parsed from the standard sparse text format (``label idx:val``
 with 1-based, ascending indices), validated, and stored immutably so that
 many solver runs can share one copy. Input files may be plain text or
-gzip-compressed (detected by magic bytes).
+gzip-compressed (detected by magic bytes). Files in plain form take a
+vectorized parse; any other file goes through the line parser, which gives
+the same arrays and is the only source of errors.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LibsvmParseError",
@@ -32,6 +35,7 @@ __all__ = [
 
 
 _INDEX, _VALUE = itemgetter(0), itemgetter(1)
+_MAX_INDEX = np.iinfo(np.int64).max
 
 
 class LibsvmParseError(ValueError):
@@ -184,6 +188,8 @@ def _parse_line(line: str, lineno: int | None):
                 f"feature index {idx_s!r} is not an integer", lineno) from None
         if idx < 1:
             raise LibsvmParseError(f"feature index {idx} must be >= 1", lineno)
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(f"feature index {idx_s!r} out of range", lineno)
         try:
             val = float(val_s)
         except ValueError:
@@ -208,6 +214,20 @@ def parse_libsvm_line(line: str, lineno: int | None = None):
     return label, entries
 
 
+def _build(labels, offsets, cols, vals, n_cols: int | None) -> Dataset:
+    """The validated Dataset over int64 labels and CSR arrays whose int64
+    column indices are still 1-based (shifted here, in place)."""
+    cols -= 1
+    seen = int(cols.max()) + 1 if cols.size else 0
+    width = max(n_cols or 0, seen)
+    ds = Dataset(
+        SparseMatrix(n_rows=labels.size, n_cols=width, row_offsets=offsets,
+                     col_indices=cols, values=vals),
+        labels)
+    ds.validate()
+    return ds
+
+
 def _assemble(rows, n_cols: int | None) -> Dataset:
     """Build a validated Dataset from ``(lineno, label, entries)`` triples.
 
@@ -218,7 +238,7 @@ def _assemble(rows, n_cols: int | None) -> Dataset:
     """
     labels: list[int] = []
     offsets = array("q", [0])
-    cols = array("q")  # 1-based until the end
+    cols = array("q")  # 1-based until _build
     vals = array("d")
     for lineno, label, entries in rows:
         if label not in (-1, 1):
@@ -232,18 +252,10 @@ def _assemble(rows, n_cols: int | None) -> Dataset:
         cols.extend(idx)
         vals.extend(map(_VALUE, entries))
         offsets.append(len(cols))
-    cols = np.frombuffer(cols, dtype=np.int64)
-    cols -= 1
-    vals = np.frombuffer(vals, dtype=np.float64)
-    offsets = np.frombuffer(offsets, dtype=np.int64)
-    seen = int(cols.max()) + 1 if cols.size else 0
-    width = max(n_cols or 0, seen)
-    ds = Dataset(
-        SparseMatrix(n_rows=len(labels), n_cols=width, row_offsets=offsets,
-                     col_indices=cols, values=vals),
-        np.asarray(labels, dtype=np.int64))
-    ds.validate()
-    return ds
+    return _build(np.asarray(labels, dtype=np.int64),
+                  np.frombuffer(offsets, dtype=np.int64),
+                  np.frombuffer(cols, dtype=np.int64),
+                  np.frombuffer(vals, dtype=np.float64), n_cols)
 
 
 def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
@@ -256,12 +268,192 @@ def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
                       in enumerate(rows, start=1)), n_cols)
 
 
-def _read_lines(path: Path) -> list[str]:
+def _opener(path: Path):
+    """``gzip.open`` for a gzip file (told by its magic bytes), else ``open``."""
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    opener = gzip.open if magic == b"\x1f\x8b" else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return gzip.open if fh.read(2) == b"\x1f\x8b" else open
+
+
+def _parse_lines(path: Path, n_cols: int | None) -> tuple[Dataset, bool]:
+    """The line parser: ``(dataset, whether a label 0 was seen)``. It skips
+    comments and blank lines, sorts each row, and raises LibsvmParseError
+    with the 1-based line number on anything malformed."""
+    zero_seen = False
+
+    def rows():
+        nonlocal zero_seen
+        with _opener(path)(path, "rt", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            if not raw.split("#", 1)[0].strip():
+                continue
+            label, was_zero, entries = _parse_line(raw, lineno)
+            zero_seen = zero_seen or was_zero
+            yield lineno, label, entries
+
+    ds = _assemble(rows(), n_cols)
+    return ds, zero_seen
+
+
+# The vectorized parse takes only bytes the line parser reads the same way:
+# spaces, "\n" and token bytes (printable ASCII other than "#").
+_TOKEN_BYTE = np.zeros(256, dtype=bool)
+_TOKEN_BYTE[0x21:0x7F] = True
+_TOKEN_BYTE[ord("#")] = False
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[ord(" "), ord("\n")]] = True
+_ALLOWED = _TOKEN_BYTE | _SEPARATOR
+_NEWLINE, _COLON, _ZERO = (np.uint8(ord(c)) for c in "\n:0")
+_BLOCK_BYTES = 1 << 18  # bounds the parse's scratch arrays to a few MB
+_MAX_TOKEN = 32         # longer tokens (serialize_dataset writes none) fall back
+_MAX_DIGITS = 15        # longer indices fall back; 15 digits cannot overflow int64
+
+
+def _blocks(data: bytes):
+    """``(start, end)`` spans of about ``_BLOCK_BYTES`` that end at line ends."""
+    start = 0
+    while start < len(data):
+        end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if end <= start:  # no line end in the span: take the whole line
+            end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        yield start, end
+        start = end
+
+
+def _token_chars(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The tokens at ``starts`` as rows of a zero-padded uint8 array, or None
+    when one is longer than ``_MAX_TOKEN``. ``b`` must extend
+    ``_MAX_TOKEN`` bytes past the last token."""
+    width = int(lengths.max(initial=1))
+    if width > _MAX_TOKEN:
+        return None
+    chars = sliding_window_view(b, width)[starts]
+    chars *= np.arange(width) < lengths[:, None]
+    return chars
+
+
+def _floats(chars: np.ndarray):
+    """Parse zero-padded tokens with numpy's bytes-to-float64 cast, which
+    converts each as Python's ``float()`` does; None if it rejects one."""
+    try:
+        return chars.view(f"S{chars.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _indices(chars: np.ndarray, lengths: np.ndarray):
+    """The values of zero-padded tokens of 1 to ``_MAX_DIGITS`` ASCII digits
+    (leading zeros allowed, as ``int()`` allows them); None for any other
+    token."""
+    width = chars.shape[1]
+    if width > _MAX_DIGITS:
+        return None
+    digits = chars - _ZERO  # non-digits, padding included, wrap to >= 10
+    inside = np.arange(width) < lengths[:, None]
+    if np.any(inside & (digits > 9)):
+        return None
+    digits *= inside
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    # Horner over the left-aligned digits, then drop the padding's powers
+    return (digits.astype(np.int64) @ powers) // powers[lengths - 1]
+
+
+def _parse_block(b: np.ndarray, m: int):
+    """Parse ``b[:m]``, whole lines the last of which ends in "\\n";
+    ``b`` holds ``_MAX_TOKEN`` more bytes of padding.
+
+    Returns ``(labels as floats, entries per row, 1-based indices, values)``
+    as the line parser would read them, or None for anything else.
+    """
+    t = b[:m]
+    if not _ALLOWED[t].all():
+        return None
+    sep = _SEPARATOR[t]
+    line_starts = np.concatenate(([0], np.flatnonzero(t == _NEWLINE)[:-1] + 1))
+    # each line starts with its label: no leading space, no blank line
+    if sep[line_starts].any():
+        return None
+    # t starts with a token and ends with a separator, so the edges between
+    # tokens and separators run end, start, end, ..., start, end
+    edges = np.flatnonzero(sep[1:] != sep[:-1]) + 1
+    del sep
+    starts = np.concatenate(([0], edges[1::2]))
+    ends = edges[0::2]
+    label_tok = np.searchsorted(starts, line_starts)
+    is_entry = np.ones(starts.size, dtype=bool)
+    is_entry[label_tok] = False
+    entry_tok = np.flatnonzero(is_entry)
+    es, ee = starts[entry_tok], ends[entry_tok]
+    colons = np.flatnonzero(t == _COLON)
+    # one ":" per entry, not at either end of it, and none in a label
+    if colons.size != es.size or np.any(colons <= es) or np.any(colons >= ee - 1):
+        return None
+
+    chars = _token_chars(b, es, colons - es)
+    idx = None if chars is None else _indices(chars, colons - es)
+    if idx is None or np.any(idx < 1):
+        return None
+    # within a row the indices strictly increase (the line parser sorts them)
+    row_start = ~is_entry[entry_tok - 1]
+    if not np.all((idx[1:] > idx[:-1]) | row_start[1:]):
+        return None
+    chars = _token_chars(b, colons + 1, ee - colons - 1)
+    vals = None if chars is None else _floats(chars)
+    if vals is None or not np.all(np.isfinite(vals)):
+        return None
+    chars = _token_chars(b, starts[label_tok], ends[label_tok] - starts[label_tok])
+    labels = None if chars is None else _floats(chars)
+    if labels is None or not np.all((labels == 1) | (labels == -1) | (labels == 0)):
+        return None
+    counts = np.diff(np.append(label_tok, starts.size)) - 1
+    return labels, counts, idx, vals
+
+
+def _parse_fast(path: Path, n_cols: int | None) -> tuple[Dataset, bool] | None:
+    """Vectorized parse of a whole file: ``(dataset, whether a label 0 was
+    seen)``, with the arrays the line parser would build, or None for any
+    input it does not take: comments, blank lines, tabs or carriage returns,
+    non-ASCII bytes, unsorted or duplicate indices, index forms other than
+    plain digits, and every token the line parser rejects. It raises no
+    parse error.
+
+    Blocks cut at line ends keep its scratch memory bounded; the outputs are
+    allocated once, sized by the newline and colon counts, which are exact
+    when every block parses.
+    """
+    with _opener(path)(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        return None
+    n_rows = data.count(b"\n") + (not data.endswith(b"\n"))
+    nnz = data.count(b":")
+    labels = np.empty(n_rows, dtype=np.int64)
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.float64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    zero_seen = False
+    row = entry = 0
+    for start, end in _blocks(data):
+        m = end - start
+        b = np.zeros(m + 1 + _MAX_TOKEN, dtype=np.uint8)
+        b[:m] = buf[start:end]
+        if b[m - 1] != _NEWLINE:  # the file's unterminated last line
+            b[m] = _NEWLINE
+            m += 1
+        parsed = _parse_block(b, m)
+        if parsed is None:
+            return None
+        lab, counts, idx, val = parsed
+        labels[row:row + lab.size] = np.where(lab == 1, 1, -1)
+        offsets[row + 1:row + 1 + lab.size] = entry + np.cumsum(counts)
+        cols[entry:entry + idx.size] = idx
+        vals[entry:entry + idx.size] = val
+        zero_seen = zero_seen or bool(np.any(lab == 0))
+        row += lab.size
+        entry += idx.size
+    del data, buf  # before validation allocates its own scratch
+    return _build(labels, offsets, cols, vals, n_cols), zero_seen
 
 
 def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
@@ -276,21 +468,12 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
         ``n_cols = max(n_cols_hint, largest index seen)``.
 
     Label "0" is accepted and mapped to -1 (one warning per file). Errors
-    carry the offending 1-based line number.
+    carry the offending 1-based line number. A file in plain form takes the
+    vectorized parse and any other the line parser; both give the same
+    Dataset.
     """
     path = Path(path)
-    zero_seen = False
-
-    def rows():
-        nonlocal zero_seen
-        for lineno, raw in enumerate(_read_lines(path), start=1):
-            if not raw.split("#", 1)[0].strip():
-                continue
-            label, was_zero, entries = _parse_line(raw, lineno)
-            zero_seen = zero_seen or was_zero
-            yield lineno, label, entries
-
-    ds = _assemble(rows(), n_cols_hint)
+    ds, zero_seen = _parse_fast(path, n_cols_hint) or _parse_lines(path, n_cols_hint)
     if zero_seen:
         warnings.warn(f"{path}: label '0' mapped to -1", stacklevel=2)
     return ds

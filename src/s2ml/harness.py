@@ -251,18 +251,22 @@ def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
             if len(row) != 9:
                 raise ValueError(f"{path}: expected 9 fields, got {len(row)}")
             solver, rep_s, it, wall, obj, gap, acc, gn, rows = row
-            rep = int(rep_s)
+            try:
+                rep = int(rep_s)
+                record = TraceRecord(
+                    iter=int(it), wall_time_s=float(wall), objective=float(obj),
+                    optimality_gap=float(gap),
+                    test_accuracy=None if acc == "" else float(acc),
+                    grad_norm=float(gn), rows_touched=int(rows))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             reps = out.setdefault(solver, [])
             if rep == len(reps):
                 reps.append([])
             if rep < 0 or rep != len(reps) - 1:
                 raise ValueError(f"{path}: solver {solver!r} jumps to rep {rep}; "
                                  "its reps must run 0, 1, ... without gaps")
-            reps[rep].append(TraceRecord(
-                iter=int(it), wall_time_s=float(wall), objective=float(obj),
-                optimality_gap=float(gap),
-                test_accuracy=None if acc == "" else float(acc),
-                grad_norm=float(gn), rows_touched=int(rows)))
+            reps[rep].append(record)
     return out
 
 

@@ -117,6 +117,14 @@ class TestTrain:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_index_beyond_int64_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("+1 1:1\n-1 99999999999999999999:1\n")
+        rc = main(["train", "--data", str(bad)])
+        assert rc == 2
+        assert "line 2: feature index '99999999999999999999' out of range" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_gradient_norm_is_not_convergence(self, tmp_path, method,
@@ -232,6 +240,20 @@ class TestFstarAndPlot:
         assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"rep {reps[-1]}" in err
+        assert not (tmp_path / "gap.svg").exists()
+
+    @pytest.mark.parametrize("field, text", [(1, "x"), (5, "x"), (8, "1.5")],
+                             ids=["rep", "gap", "rows_touched"])
+    def test_plot_rejects_malformed_field(self, tmp_path, capsys, field, text):
+        path = self._traces(tmp_path, "tron", [0])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[field] = text
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: " in err and repr(text) in err
         assert not (tmp_path / "gap.svg").exists()
 
 

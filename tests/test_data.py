@@ -1,9 +1,11 @@
 import gzip
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import s2ml.data
 from helpers import random_dataset, random_rows
 from s2ml.data import (Dataset, LibsvmParseError, SparseMatrix,
                        dataset_from_rows, load_dataset, parse_libsvm_line,
@@ -45,6 +47,8 @@ class TestParseLine:
             parse_libsvm_line("+1 a:1")
         with pytest.raises(LibsvmParseError, match=">= 1"):
             parse_libsvm_line("+1 0:1")
+        with pytest.raises(LibsvmParseError, match="'99999999999999999999' out of range"):
+            parse_libsvm_line("+1 99999999999999999999:1")
 
     def test_bad_value(self):
         with pytest.raises(LibsvmParseError, match="not numeric"):
@@ -132,6 +136,143 @@ class TestLoad:
             p = tmp_path / f"r{i}.libsvm"
             p.write_text(serialize_dataset(ds))
             load_dataset(p).validate()
+
+
+def _outcome(path, n_cols_hint):
+    """Everything a load shows a caller: the arrays byte for byte (so that
+    -0.0 and 0.0 differ) with their dtypes, or the error; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load_dataset(path, n_cols_hint)
+        except ValueError as exc:  # LibsvmParseError and UnicodeDecodeError too
+            result = (type(exc), str(exc), getattr(exc, "lineno", None))
+        else:
+            m = ds.features
+            result = (m.n_rows, m.n_cols) + tuple(
+                (a.dtype.str, a.tobytes())
+                for a in (ds.labels, m.row_offsets, m.col_indices, m.values))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _line_parser_outcome(monkeypatch, path, n_cols_hint):
+    with monkeypatch.context() as mp:
+        mp.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: None)
+        return _outcome(path, n_cols_hint)
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _edit_entry(edit):
+    """A mutation that rewrites one ``index:value`` token of a random line."""
+    def mutate(rng, lines):
+        i = int(rng.integers(len(lines)))
+        toks = lines[i].split(" ")
+        if len(toks) > 1:
+            k = int(rng.integers(1, len(toks)))
+            idx, _, val = toks[k].partition(":")
+            toks[k] = edit(rng, idx, val)
+            lines[i] = " ".join(toks)
+    return mutate
+
+
+def _edit_line(edit):
+    def mutate(rng, lines):
+        i = int(rng.integers(len(lines)))
+        lines[i] = edit(rng, lines[i])
+    return mutate
+
+
+def _swap_entries(rng, line):
+    toks = line.split(" ")
+    if len(toks) > 2:
+        a, b = rng.choice(np.arange(1, len(toks)), size=2, replace=False)
+        toks[a], toks[b] = toks[b], toks[a]
+    return " ".join(toks)
+
+
+def _repeat_entry(rng, line):
+    toks = line.split(" ")
+    if len(toks) > 1:
+        k = int(rng.integers(1, len(toks)))
+        toks.insert(k, toks[k].partition(":")[0] + ":1")
+    return " ".join(toks)
+
+
+# "\udcff" is written as the lone byte 0xff (not UTF-8)
+_MUTATIONS = [
+    lambda rng, lines: lines.insert(int(rng.integers(len(lines) + 1)), "# comment"),
+    _edit_line(lambda rng, line: line + _pick(rng, [" # tail", "#", " #1:2"])),
+    lambda rng, lines: lines.insert(int(rng.integers(len(lines) + 1)),
+                                    _pick(rng, ["", "  "])),
+    _edit_line(lambda rng, line: line.replace(" ", "\t", 1) if " " in line
+               else line + "\t"),
+    _edit_line(lambda rng, line: _pick(rng, [" ", "  "]) + line),
+    _edit_line(lambda rng, line: line + _pick(rng, [" ", "   "])),
+    _edit_entry(lambda rng, idx, val: idx + ":" + _pick(
+        rng, ["nan", "inf", "-inf", "1_0", "-0", "1e400", "1e-400", "0x1", "1e", "."])),
+    _edit_entry(lambda rng, idx, val: _pick(
+        rng, ["05", "+5", "1e2", "0", "00", "1_0", "9" * 15, "9" * 16, "9" * 20, "-3"])
+        + ":" + val),
+    _edit_entry(lambda rng, idx, val: _pick(rng, ["1:2:3", "1:", ":1", "1", ":"])),
+    _edit_line(lambda rng, line: _pick(
+        rng, ["2", "1.0", "0", "1e0", "-0", "+1", "-1.0", "nan", "1:1", "x"])
+        + line[line.index(" "):] if " " in line else line),
+    _edit_line(lambda rng, line: line + _pick(rng, [" 3:\u00e9", "\u00a0", "\udcff"])),
+    _edit_line(_swap_entries),
+    _edit_line(_repeat_entry),
+]
+
+
+class TestFastPath:
+    """The vectorized parse gives what the line parser gives, or falls back."""
+
+    @pytest.mark.parametrize("name", ["train1000.libsvm", "test200.libsvm", "gzip"])
+    def test_taken_for_plain_files(self, tmp_path, monkeypatch, name):
+        if name == "gzip":
+            path = tmp_path / "train.libsvm.gz"
+            path.write_bytes(gzip.compress((FIXTURES / "train1000.libsvm").read_bytes()))
+        else:
+            path = FIXTURES / name
+        expected = [_line_parser_outcome(monkeypatch, path, hint) for hint in (None, 60)]
+
+        def line_parser(line, lineno):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(s2ml.data, "_parse_line", line_parser)
+        assert [_outcome(path, hint) for hint in (None, 60)] == expected
+
+    @pytest.mark.parametrize("block_bytes", [None, 24])
+    def test_differential_fuzz(self, tmp_path, monkeypatch, block_bytes):
+        if block_bytes is not None:  # many blocks, and lines longer than one
+            monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
+        parse_fast = s2ml.data._parse_fast
+        taken = []
+        monkeypatch.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: (
+            taken.append(parse_fast(path, n_cols)) or taken[-1]))
+        rng = np.random.default_rng(20190411)
+        path = tmp_path / "fuzz.libsvm"
+        for case in range(500):
+            d = int(rng.integers(1, 12))
+            ds = random_dataset(rng, int(rng.integers(1, 8)), d,
+                                allow_empty=rng.random() < 0.2)
+            lines = serialize_dataset(ds).splitlines()
+            # every mutation in turn, a fifth of the files clean, some doubled
+            if case % 5:
+                _MUTATIONS[case % len(_MUTATIONS)](rng, lines)
+            if rng.random() < 0.3:
+                _pick(rng, _MUTATIONS)(rng, lines)
+            text = ("\r\n" if rng.random() < 0.1 else "\n").join(lines)
+            if rng.random() < 0.8:
+                text += "\n"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            for hint in (None, d + 2):
+                assert _outcome(path, hint) == _line_parser_outcome(
+                    monkeypatch, path, hint), text
+        fast = sum(t is not None for t in taken)
+        assert 0.2 * len(taken) < fast < 0.8 * len(taken)
 
 
 class TestRowsInput:
