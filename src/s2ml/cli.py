@@ -6,9 +6,10 @@ plots), ``fstar`` (print the cached reference optimum), and ``plot``
 (re-render plots from a previously written traces.csv).
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or values, reported
-on stderr with usage text), 2 on runtime errors (I/O, parse failures,
-non-convergence, a non-finite objective or gradient norm). Diagnostics go
-to stderr; data goes to files or stdout.
+on stderr with usage text), 2 on runtime errors (I/O, parse failures, a
+truncated gzip file, running out of memory, non-convergence, a non-finite
+objective or gradient norm). Diagnostics go to stderr; data goes to files
+or stdout.
 """
 
 from __future__ import annotations
@@ -366,6 +367,11 @@ def main(argv=None) -> int:
     except (OSError, LibsvmParseError, ModelFormatError, ConvergenceError,
             ValueError) as exc:
         print(f"s2ml: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the model has one coefficient per feature column, so a huge
+        # feature index asks for more memory than the address space holds
+        print(f"s2ml: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

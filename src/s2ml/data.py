@@ -468,12 +468,16 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
         ``n_cols = max(n_cols_hint, largest index seen)``.
 
     Label "0" is accepted and mapped to -1 (one warning per file). Errors
-    carry the offending 1-based line number. A file in plain form takes the
+    carry the offending 1-based line number; a truncated gzip file raises
+    ``gzip.BadGzipFile`` naming the path. A file in plain form takes the
     vectorized parse and any other the line parser; both give the same
     Dataset.
     """
     path = Path(path)
-    ds, zero_seen = _parse_fast(path, n_cols_hint) or _parse_lines(path, n_cols_hint)
+    try:
+        ds, zero_seen = _parse_fast(path, n_cols_hint) or _parse_lines(path, n_cols_hint)
+    except EOFError as exc:  # a gzip stream cut short
+        raise gzip.BadGzipFile(f"{path}: {exc}") from exc
     if zero_seen:
         warnings.warn(f"{path}: label '0' mapped to -1", stacklevel=2)
     return ds

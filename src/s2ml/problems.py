@@ -8,6 +8,14 @@ is always added in full and never touches the bias coordinate. Evaluations
 are pure functions of their arguments, run single-threaded with a fixed
 reduction order, and are therefore reproducible bit for bit.
 
+A problem remembers the margins ``y * (X @ w)`` of its last full-data call
+(``rows=None``), keyed by a copy of w's bit pattern, so ``gradient`` after
+``objective`` at the same point, or ``make_hess_vec`` after an accepted
+step, skips the product with X and returns exactly what a fresh
+evaluation would. ``-0.0``, NaN payloads and in-place changes to w never
+alias another point, the remembered margins are read-only, and row-batch
+calls neither read nor replace them.
+
 Adding a new loss means subclassing :class:`Problem` with the three
 pointwise hooks and registering the class in ``PROBLEM_KINDS``.
 """
@@ -70,6 +78,7 @@ class Problem:
         self.add_bias = config.add_bias
         self._X = data.features.csr
         self._y = data.labels.astype(np.float64)
+        self._memo = None  # (bit pattern of w, margins) of the last full-data call
 
     @property
     def kind(self) -> str:
@@ -96,17 +105,25 @@ class Problem:
     # -- shared machinery ------------------------------------------------
     def _eval(self, w, rows):
         """Select the rows, split off the bias and return ``(X, y, wf, m)``
-        with the margins m = y * (X @ wf + bias)."""
-        X, y = self._X, self._y
+        with the margins m = y * (X @ wf + bias); full-data margins come
+        from the one-entry memo described in the module docstring."""
+        w = np.asarray(w, dtype=np.float64)
+        wf, b = self._split(w)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim != 1 or rows.size == 0:
                 raise ValueError("rows must be a non-empty 1-d index array")
             if rows[0] < 0 or rows[-1] >= self.n_rows or np.any(np.diff(rows) <= 0):
                 raise ValueError("rows must be sorted, distinct and within [0, n_rows)")
-            X, y = X[rows], y[rows]
-        wf, b = self._split(w)
-        return X, y, wf, y * (X @ wf + b)
+            X, y = self._X[rows], self._y[rows]
+            return X, y, wf, y * (X @ wf + b)
+        bits = w.view(np.uint64)
+        if self._memo is None or not np.array_equal(self._memo[0], bits):
+            self._memo = None  # free the old margins before computing new ones
+            m = self._y * (self._X @ wf + b)
+            m.flags.writeable = False
+            self._memo = (bits.copy(), m)
+        return self._X, self._y, wf, self._memo[1]
 
     def _split(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -118,7 +135,8 @@ class Problem:
         return w, 0.0
 
     def margins(self, w, rows=None) -> np.ndarray:
-        """m_i = y_i * (w . x_i [+ bias]) over the selected rows."""
+        """m_i = y_i * (w . x_i [+ bias]) over the selected rows; read-only
+        for a full-data call."""
         return self._eval(w, rows)[3]
 
     def objective(self, w, rows=None) -> float:

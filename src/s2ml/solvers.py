@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "SolverState",
     "IterationSnapshot",
     "steihaug_cg",
+    "LbfgsMemory",
     "lbfgs_direction",
     "tron_step",
     "stron_step",
@@ -103,7 +103,8 @@ class SolverState:
     tr_radius: float
     rng: np.random.Generator
     batch_size: int
-    lbfgs_pairs: deque = field(default_factory=deque)
+    lbfgs_pairs: LbfgsMemory = field(
+        default_factory=lambda: LbfgsMemory(SolverConfig.lbfgs_memory))
     iter: int = 0
     consecutive_rejects: int = 0
 
@@ -470,27 +471,107 @@ def newton_cg_step(problem, state: SolverState, config: SolverConfig) -> Iterati
                    cg_iters=calls, rows_touched=calls * problem.n_rows)
 
 
-def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
-    """Two-loop recursion over (s, y) pairs; empty memory gives exactly -g.
+class LbfgsMemory:
+    """The newest ``maxlen`` curvature pairs (s, y), kept for the two-loop
+    recursion.
 
-    The implicit initial matrix is gamma * I with gamma = s.y / y.y from the
-    newest pair.
+    The pairs live in one (2*maxlen x d) buffer Z, filled as a ring with s
+    and y of slot k in rows 2k and 2k+1, next to the Gram matrix Z Z^T. An
+    append refreshes the Gram entries of its slot with ``Z @ s`` and
+    ``Z @ y``; a direction then costs one ``Z @ g``, a recursion over the
+    Gram entries whose cost does not depend on d, and one ``Z.T @ c``
+    (Byrd, Nocedal & Schnabel 1994; Chen et al., VL-BFGS, 2014).
+
+    Iteration yields read-only ``(s, y)`` views into Z, oldest first; an
+    append beyond ``maxlen`` replaces the oldest pair.
     """
-    if not pairs:
-        return -np.asarray(g, dtype=np.float64)
-    q = np.array(g, dtype=np.float64, copy=True)
-    coeffs = []
-    for s_vec, y_vec in reversed(pairs):
-        rho = 1.0 / float(y_vec @ s_vec)
-        a = rho * float(s_vec @ q)
-        q -= a * y_vec
-        coeffs.append((rho, a))
-    s_last, y_last = pairs[-1]
-    r = (float(s_last @ y_last) / float(y_last @ y_last)) * q
-    for (s_vec, y_vec), (rho, a) in zip(pairs, reversed(coeffs)):
-        b = rho * float(y_vec @ r)
-        r += (a - b) * s_vec
-    return -r
+
+    def __init__(self, maxlen: int):
+        if maxlen < 1:
+            raise ValueError("maxlen must be >= 1")
+        self.maxlen = maxlen
+        self._Z = None
+        self._gram = np.zeros((2 * maxlen, 2 * maxlen))
+        self._next = 0  # slot the next append writes
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _slots(self):
+        """Filled slots, oldest first."""
+        start = self._next - self._len
+        return [(start + i) % self.maxlen for i in range(self._len)]
+
+    def __iter__(self):
+        for k in self._slots():
+            s, y = self._Z[2 * k], self._Z[2 * k + 1]
+            s.flags.writeable = y.flags.writeable = False
+            yield s, y
+
+    def append(self, pair) -> None:
+        s, y = pair
+        if self._Z is None:
+            self._Z = np.zeros((2 * self.maxlen, np.size(s)))
+        k = self._next
+        self._Z[2 * k] = s
+        self._Z[2 * k + 1] = y
+        self._next = (k + 1) % self.maxlen
+        self._len = min(self._len + 1, self.maxlen)
+        rows = 2 * self._len
+        Z = self._Z[:rows]
+        for i in (2 * k, 2 * k + 1):
+            # two gemv passes: a (rows x 2) gemm is about twice as slow
+            self._gram[i, :rows] = self._gram[:rows, i] = Z @ Z[i]
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g for the L-BFGS inverse-Hessian approximation H.
+
+        The two-loop recursion carries q and r as g times a scalar plus
+        ``Z.T @ c``, so every inner product it takes is a Gram entry or an
+        entry of ``Z @ g``. The initial matrix is gamma * I with gamma =
+        s.y / y.y from the newest pair; empty memory gives exactly -g.
+        """
+        g = np.asarray(g, dtype=np.float64)
+        if not self._len:
+            return -g
+        rows = 2 * self._len
+        Z, G = self._Z[:rows], self._gram[:rows, :rows]
+        zg = Z @ g
+        c = np.zeros(rows)
+        slots = self._slots()
+        rho, alpha = {}, {}
+        for k in reversed(slots):
+            i = 2 * k
+            rho[k] = 1.0 / G[i, i + 1]
+            alpha[k] = rho[k] * (zg[i] + G[i] @ c)
+            c[i + 1] -= alpha[k]
+        i = 2 * slots[-1]
+        gamma = G[i, i + 1] / G[i + 1, i + 1]
+        c *= gamma
+        for k in slots:
+            i = 2 * k
+            beta = rho[k] * (gamma * zg[i + 1] + G[i + 1] @ c)
+            c[i] += alpha[k] - beta
+        d = Z.T @ c
+        d += gamma * g
+        return -d
+
+
+def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
+    """Two-loop direction over (s, y) pairs, oldest first; empty memory
+    gives exactly -g.
+
+    ``pairs`` is an :class:`LbfgsMemory` or any sequence of pairs, which is
+    copied into one first.
+    """
+    if not isinstance(pairs, LbfgsMemory):
+        pairs = list(pairs)
+        memory = LbfgsMemory(max(1, len(pairs)))
+        for pair in pairs:
+            memory.append(pair)
+        pairs = memory
+    return pairs.direction(g)
 
 
 def lbfgs_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
@@ -521,14 +602,18 @@ _STEPS = {
 # ---------------------------------------------------------------------------
 
 def init_state(problem, config: SolverConfig) -> SolverState:
-    w = np.zeros(problem.dim)
+    try:
+        w = np.zeros(problem.dim)
+    except MemoryError as exc:
+        raise MemoryError(f"cannot allocate a model of dimension {problem.dim}: "
+                          f"{exc}") from exc
     g = problem.gradient(w)
     batch0 = min(problem.n_rows,
                  max(1, _ceil_int(config.batch0_frac * problem.n_rows)))
     return SolverState(
         w=w, grad=g, obj=problem.objective(w), grad_norm0=_norm(g),
         tr_radius=config.tr_radius0, rng=np.random.default_rng(config.rng_seed),
-        batch_size=batch0, lbfgs_pairs=deque(maxlen=config.lbfgs_memory))
+        batch_size=batch0, lbfgs_pairs=LbfgsMemory(config.lbfgs_memory))
 
 
 def _emit(callback, snapshot: IterationSnapshot) -> bool:

@@ -1,14 +1,23 @@
+import gzip
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import s2ml.data
 from s2ml.cli import MODEL_MAGIC, ModelFormatError, main, read_model, write_model
 from s2ml.data import load_dataset
 from s2ml.harness import CSV_HEADER, read_trace_csv
 from s2ml.problems import ProblemConfig, make_problem
 from s2ml.solvers import METHODS, SolverConfig, run_solver
+
+
+def truncated_gzip(source, dest) -> str:
+    """Write the first half of the gzipped ``source`` to ``dest``."""
+    packed = gzip.compress(Path(source).read_bytes())
+    Path(dest).write_bytes(packed[:len(packed) // 2])
+    return str(dest)
 
 
 @pytest.fixture()
@@ -125,6 +134,28 @@ class TestTrain:
         assert "line 2: feature index '99999999999999999999' out of range" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("path", ["fast", "line-parser"])
+    def test_truncated_gzip_exits_2(self, tmp_path, train, monkeypatch, capsys, path):
+        if path == "line-parser":
+            monkeypatch.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: None)
+        cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
+        rc = main(["train", "--data", cut, "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("s2ml: error: ") and cut in err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_huge_feature_index_exits_2(self, tmp_path, capsys):
+        # 10**15 columns load as a sparse matrix; the 8 * 10**15-byte weight
+        # vector exceeds the address space, so its allocation fails at once
+        path = tmp_path / "huge.libsvm"
+        path.write_text("+1 1000000000000000:1\n-1 1:1\n")
+        rc = main(["train", "--data", str(path), "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("s2ml: error: out of memory")
+        assert "dimension 1000000000000000" in err
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_gradient_norm_is_not_convergence(self, tmp_path, method,
@@ -185,6 +216,12 @@ class TestBenchmark:
         assert rc == 0
         assert (out_dir / "gap.svg").exists()
         assert not (out_dir / "accuracy.svg").exists()
+
+    def test_truncated_gzip_exits_2(self, tmp_path, train, capsys):
+        cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
+        rc = main(["benchmark", "--data", cut, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"s2ml: error: {cut}: ")
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"

@@ -266,3 +266,109 @@ class TestRowsValidation:
         problem, _ = random_problem(rng, "logistic", 0.1, n=10, d=3)
         with pytest.raises(ValueError, match="length"):
             problem.objective(np.zeros(problem.dim + 1))
+
+
+class CountingMatrix:
+    """Stands in for a problem's CSR matrix and counts ``X @ v`` products."""
+
+    def __init__(self, X):
+        self.X = X
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.X @ v
+
+    def __getitem__(self, rows):
+        return self.X[rows]
+
+    @property
+    def T(self):
+        return self.X.T
+
+
+class TestMarginMemo:
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("add_bias", [False, True])
+    def test_reuse_is_bit_identical(self, kind, add_bias):
+        rng = np.random.default_rng(21)
+        data = random_dataset(rng, 40, 7)
+        config = ProblemConfig(kind=kind, lam=0.1, add_bias=add_bias)
+        problem = make_problem(config, data)
+        w = rng.normal(size=problem.dim)
+        v = rng.normal(size=problem.dim)
+        problem.objective(w)
+        g = problem.gradient(w)
+        hv = problem.make_hess_vec(w)(v)
+        assert np.array_equal(g, make_problem(config, data).gradient(w))
+        assert np.array_equal(hv, make_problem(config, data).make_hess_vec(w)(v))
+
+    def test_in_place_mutation_recomputes(self):
+        rng = np.random.default_rng(22)
+        problem, w = random_problem(rng, "logistic", 0.1, n=30, d=6)
+        fresh = make_problem(problem.config, problem.data)
+        problem.objective(w)
+        w[2] += 0.5
+        assert problem.objective(w) == fresh.objective(w)
+        w[0] = -0.0 if w[0] == 0.0 else 0.0
+        assert np.array_equal(problem.gradient(w), fresh.gradient(w))
+        w[:] = 0.0
+        problem.objective(w)
+        w[:] = -0.0  # equal as floats, different bits
+        problem._X = CountingMatrix(problem._X)
+        problem.objective(w)
+        assert problem._X.products == 1
+
+    def test_margins_are_read_only(self):
+        rng = np.random.default_rng(23)
+        problem, w = random_problem(rng, "svm-l2", 0.1, n=30, d=6)
+        before = problem.objective(w)
+        m = problem.margins(w)
+        with pytest.raises(ValueError):
+            m[0] = 1e6
+        assert problem.objective(w) == before
+        assert np.array_equal(problem.gradient(w),
+                              make_problem(problem.config, problem.data).gradient(w))
+
+    def test_row_calls_bypass_the_memo(self):
+        rng = np.random.default_rng(24)
+        problem, w = random_problem(rng, "logistic", 0.1, n=30, d=6)
+        rows = np.array([0, 3, 9])
+        problem._X = counted = CountingMatrix(problem._X)
+        problem.objective(w)
+        assert counted.products == 1
+        fresh = make_problem(problem.config, problem.data)
+        for _ in range(2):  # a row batch neither reads nor replaces the memo
+            assert problem.objective(w, rows=rows) == fresh.objective(w, rows=rows)
+            assert np.array_equal(problem.gradient(w, rows=rows),
+                                  fresh.gradient(w, rows=rows))
+        assert counted.products == 1
+        problem.gradient(w)
+        problem.make_hess_vec(w)
+        assert counted.products == 1
+
+    def test_one_product_per_lbfgs_evaluation_point(self):
+        # each line-search trial of lbfgs is a new point and pays for one
+        # X @ w; the gradient at the accepted point reuses it, so an
+        # iteration whose unit step is accepted costs exactly one product
+        from s2ml.solvers import SolverConfig, run_solver
+        rng = np.random.default_rng(25)
+        problem, _ = random_problem(rng, "logistic", 0.05, n=60, d=10)
+        problem._X = counted = CountingMatrix(problem._X)
+        calls = {"objective": 0, "gradient": 0}
+        for name in calls:
+            def wrapped(w, rows=None, _name=name, _fn=getattr(problem, name)):
+                calls[_name] += 1
+                return _fn(w, rows)
+            setattr(problem, name, wrapped)
+        seen = []
+        run_solver(problem, SolverConfig(method="lbfgs", grad_tol=1e-8),
+                   lambda snap: seen.append((snap.step_accepted, counted.products,
+                                             calls["objective"], calls["gradient"])))
+        assert len(seen) > 5 and all(accepted for accepted, *_ in seen)
+        assert seen[0][1:] == (1, 1, 1)
+        per_iter = np.diff(np.array([counts for _, *counts in seen]), axis=0)
+        products, trials, gradients = per_iter.T
+        assert np.array_equal(products, trials)
+        assert np.all(gradients == 1)
+        assert np.sum(trials == 1) >= len(trials) - 1

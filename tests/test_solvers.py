@@ -7,9 +7,9 @@ import pytest
 from helpers import (QuadraticProblem, ball_min_brute_force, classification_dataset,
                      dense_bfgs_direction, model_value)
 from s2ml.problems import ProblemConfig, make_problem
-from s2ml.solvers import (SolverConfig, SolverState, init_state, lbfgs_direction,
-                          lbfgs_step, newton_cg_step, run_solver, steihaug_cg,
-                          stron_step, tron_step)
+from s2ml.solvers import (LbfgsMemory, SolverConfig, SolverState, init_state,
+                          lbfgs_direction, lbfgs_step, newton_cg_step, run_solver,
+                          steihaug_cg, stron_step, tron_step)
 
 FIXTURE_TRAIN = str(Path(__file__).parent / "fixtures" / "train1000.libsvm")
 
@@ -312,6 +312,46 @@ class TestLbfgs:
             dense = dense_bfgs_direction(list(pairs), g)
             scale = max(float(np.abs(dense).max()), 1e-12)
             assert float(np.abs(fast - dense).max()) / scale < 1e-10
+
+    @staticmethod
+    def curvature_pairs(rng, d, count):
+        pairs = []
+        while len(pairs) < count:
+            s = rng.normal(size=d)
+            y = rng.normal(size=d)
+            if float(s @ y) > 0.1 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y))
+        return pairs
+
+    def test_memory_ring_matches_dense_recursion(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            d = int(rng.integers(2, 13))
+            m = int(rng.integers(1, 6))
+            pairs = self.curvature_pairs(rng, d, m + int(rng.integers(1, 3 * m + 2)))
+            memory = LbfgsMemory(m)
+            for pair in pairs:
+                memory.append(pair)
+            g = rng.normal(size=d)
+            fast = memory.direction(g)
+            dense = dense_bfgs_direction(pairs[-m:], g)
+            scale = max(float(np.abs(dense).max()), 1e-12)
+            assert float(np.abs(fast - dense).max()) / scale < 1e-10
+            assert np.array_equal(lbfgs_direction(memory, g), fast)
+
+    def test_memory_iterates_kept_pairs_oldest_first(self):
+        rng = np.random.default_rng(33)
+        pairs = self.curvature_pairs(rng, 5, 7)
+        memory = LbfgsMemory(3)
+        assert len(memory) == 0 and list(memory) == []
+        for n, pair in enumerate(pairs, start=1):
+            memory.append(pair)
+            kept = pairs[max(0, n - 3):n]
+            assert len(memory) == len(kept)
+            got = list(memory)
+            assert len(got) == len(kept)
+            for (s, y), (s_ref, y_ref) in zip(got, kept):
+                assert np.array_equal(s, s_ref) and np.array_equal(y, y_ref)
 
     def test_converges_on_ill_scaled_quadratic(self):
         problem = QuadraticProblem(np.diag([1.0, 10.0]), c=[1.0, 1.0])
