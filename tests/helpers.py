@@ -64,6 +64,30 @@ class QuadraticProblem:
         return lambda v: self.A @ np.asarray(v, dtype=np.float64)
 
 
+def full_row_hess_vec(problem, w, rows=None):
+    """A problem's Hessian-vector operator over every evaluated row, straight
+    from H v = X' diag(curvature) X v / n + lam v (bias entry included): the
+    reference the active-row operator must match bit for bit."""
+    X = problem.data.features.csr
+    if rows is not None:
+        X = X[rows]
+    m = problem.margins(w, rows)
+    h = problem._curvature(m) / m.size
+    bias = problem.add_bias
+
+    def hess_vec(v):
+        v = np.asarray(v, dtype=np.float64)
+        vf = v[:-1] if bias else v
+        t = X @ vf
+        if bias:
+            t = t + float(v[-1])
+        u = h * t
+        out = X.T @ u + problem.lam * vf
+        return np.concatenate([out, [u.sum()]]) if bias else out
+
+    return hess_vec
+
+
 def fd_gradient(problem, w, h=1e-6, rows=None):
     """Central finite differences of the objective."""
     w = np.asarray(w, dtype=np.float64)

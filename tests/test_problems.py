@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, fd_hess_vec, random_dataset
+from helpers import fd_gradient, fd_hess_vec, full_row_hess_vec, random_dataset
 from s2ml.data import dataset_from_rows
-from s2ml.problems import ProblemConfig, make_problem
+from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 
 LN2 = 0.6931471805599453
 
@@ -287,6 +287,37 @@ class CountingMatrix:
         return self.X.T
 
 
+class RowLoggingMatrix:
+    """Stands in for a problem's CSR matrix and logs which original rows
+    reach ``X @ v`` and ``X.T @ u``; a row gather returns a logging matrix
+    over the gathered rows that writes to the same log."""
+
+    def __init__(self, X, row_ids=None, log=None):
+        self.X = X
+        self.row_ids = np.arange(X.shape[0]) if row_ids is None else row_ids
+        self.log = [] if log is None else log  # (product, original row ids)
+
+    def __matmul__(self, v):
+        self.log.append(("X", self.row_ids))
+        return self.X @ v
+
+    def __getitem__(self, rows):
+        return RowLoggingMatrix(self.X[rows], self.row_ids[rows], self.log)
+
+    @property
+    def T(self):
+        return _LoggingTranspose(self)
+
+
+class _LoggingTranspose:
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __matmul__(self, u):
+        self.matrix.log.append(("XT", self.matrix.row_ids))
+        return self.matrix.X.T @ u
+
+
 class TestMarginMemo:
     @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
     @pytest.mark.parametrize("add_bias", [False, True])
@@ -372,3 +403,106 @@ class TestMarginMemo:
         assert np.array_equal(products, trials)
         assert np.all(gradients == 1)
         assert np.sum(trials == 1) >= len(trials) - 1
+
+
+def margin_problem(rng, margins, add_bias=False, d=6):
+    """svm-l2 problem whose margins at the returned w are exactly
+    ``margins``: row i holds y_i * margins[i] in column 1 (w = e_1) and
+    random values in the other columns, which Hv products still reach."""
+    rows = []
+    for mi in margins:
+        label = 1 if rng.random() < 0.5 else -1
+        extra = [(j, float(rng.normal())) for j in range(2, d + 1) if rng.random() < 0.7]
+        rows.append((label, [(1, label * float(mi))] + extra))
+    problem = rows_problem("svm-l2", rows, 0.1, n_cols=d, add_bias=add_bias)
+    w = np.zeros(problem.dim)
+    w[0] = 1.0
+    assert np.array_equal(problem.margins(w), np.asarray(margins, dtype=np.float64))
+    return problem, w
+
+
+def mixed_margins(rng, n, n_active):
+    """n margins, n_active of them below 1 (active) at random positions; the
+    inactive ones include the kink margin == 1."""
+    m = rng.choice([1.0, 1.25, 3.0], size=n)
+    m[rng.choice(n, size=n_active, replace=False)] = rng.uniform(-2.0, 0.99, size=n_active)
+    return m
+
+
+class TestActiveRowOperator:
+    """The squared-hinge operator multiplies only the rows with margin < 1
+    once they are at most GATHER_MAX_ACTIVE of the evaluated rows, and must
+    equal the all-row formula bit for bit."""
+
+    def assert_matches_reference(self, rng, problem, w, rows=None):
+        hv = problem.make_hess_vec(w, rows)
+        ref = full_row_hess_vec(problem, w, rows)
+        for _ in range(4):
+            v = rng.normal(size=problem.dim)
+            assert hv(v).tobytes() == ref(v).tobytes()
+
+    def logged_rows(self, problem, w, rows=None):
+        """Original row ids that reach each product of one Hv apply."""
+        problem.margins(w, rows)  # fill the memo before logging
+        problem._X = logged = RowLoggingMatrix(problem._X)
+        problem._XT = logged.T
+        hv = problem.make_hess_vec(w, rows)
+        logged.log.clear()  # a row batch logs its margins product
+        hv(np.ones(problem.dim))
+        return logged.log
+
+    @pytest.mark.parametrize("add_bias", [False, True])
+    def test_mixed_margins(self, add_bias):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            n = int(rng.integers(20, 200))
+            n_active = int(rng.integers(1, int(GATHER_MAX_ACTIVE * n) + 1))
+            problem, w = margin_problem(rng, mixed_margins(rng, n, n_active), add_bias)
+            self.assert_matches_reference(rng, problem, w)
+
+    @pytest.mark.parametrize("add_bias", [False, True])
+    @pytest.mark.parametrize("share", ["all", "none"])
+    def test_all_or_no_rows_active(self, add_bias, share):
+        rng = np.random.default_rng(32)
+        n = 50
+        margins = rng.uniform(-2.0, 0.99, n) if share == "all" else rng.uniform(1.0, 3.0, n)
+        problem, w = margin_problem(rng, margins, add_bias)
+        self.assert_matches_reference(rng, problem, w)
+        expected = np.arange(n) if share == "all" else np.array([], dtype=np.int64)
+        for _, ids in self.logged_rows(problem, w):
+            assert np.array_equal(ids, expected)
+
+    @pytest.mark.parametrize("add_bias", [False, True])
+    def test_row_batch(self, add_bias):
+        rng = np.random.default_rng(33)
+        margins = mixed_margins(rng, 120, 40)
+        problem, w = margin_problem(rng, margins, add_bias)
+        rows = np.sort(rng.choice(120, size=60, replace=False))
+        assert np.mean(margins[rows] < 1.0) <= GATHER_MAX_ACTIVE
+        self.assert_matches_reference(rng, problem, w, rows)
+        active = rows[margins[rows] < 1.0]
+        for product, ids in self.logged_rows(problem, w, rows):
+            assert np.array_equal(ids, active), product
+
+    @pytest.mark.parametrize("add_bias", [False, True])
+    @pytest.mark.parametrize("offset, gathered", [(-1, True), (0, True), (1, False)])
+    def test_around_the_cut_off(self, add_bias, offset, gathered):
+        # the largest active count at or below the cut-off share of 40 rows,
+        # one row fewer, and one row more
+        n_active = int(GATHER_MAX_ACTIVE * 40) + offset
+        rng = np.random.default_rng(34 + offset)
+        margins = mixed_margins(rng, 40, n_active)
+        problem, w = margin_problem(rng, margins, add_bias)
+        self.assert_matches_reference(rng, problem, w)
+        log = self.logged_rows(problem, w)
+        expected = np.flatnonzero(margins < 1.0) if gathered else np.arange(40)
+        assert [product for product, _ in log] == ["X", "XT"]
+        for _, ids in log:
+            assert np.array_equal(ids, expected)
+
+    def test_logistic_keeps_every_row(self):
+        rng = np.random.default_rng(35)
+        problem, w = random_problem(rng, "logistic", 0.1, n=40, d=6)
+        self.assert_matches_reference(rng, problem, w)
+        for _, ids in self.logged_rows(problem, w):
+            assert np.array_equal(ids, np.arange(40))

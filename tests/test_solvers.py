@@ -1,3 +1,5 @@
+import hashlib
+import struct
 from collections import deque
 from pathlib import Path
 
@@ -5,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (QuadraticProblem, ball_min_brute_force, classification_dataset,
-                     dense_bfgs_direction, model_value)
-from s2ml.problems import ProblemConfig, make_problem
+                     dense_bfgs_direction, full_row_hess_vec, model_value)
+from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 from s2ml.solvers import (LbfgsMemory, SolverConfig, SolverState, init_state,
                           lbfgs_direction, lbfgs_step, newton_cg_step, run_solver,
                           steihaug_cg, stron_step, tron_step)
@@ -454,3 +456,37 @@ class TestRunSolver:
         w, term = run_solver(problem, SolverConfig(method="tron"))
         assert term == "converged"
         assert np.all(w == 0.0)  # null features: penalty pins the optimum at 0
+
+
+def trajectory_sha256(problem, config):
+    """sha256 over every snapshot of one run, w's bytes included."""
+    digest = hashlib.sha256()
+
+    def record(snap):
+        digest.update(struct.pack("<qddqqd?", snap.iter, snap.objective, snap.grad_norm,
+                                  snap.rows_touched, snap.cg_iters_used,
+                                  snap.tr_radius, snap.step_accepted))
+        digest.update(snap.w.tobytes())
+
+    w, termination = run_solver(problem, config, record)
+    return digest.hexdigest(), termination, w
+
+
+class TestActiveRowTrajectories:
+    def test_bias_trajectories_match_the_full_row_operator(self):
+        # The squared-hinge Hv gathers the rows with margin < 1; its bias
+        # entry must still be the all-row sum's bits. Summing the gathered
+        # entries alone regroups numpy's pairwise sum and moves these hashes.
+        rng = np.random.default_rng(41)
+        data = classification_dataset(rng, 400, 12, 8)
+        config = ProblemConfig(kind="svm-l2", lam=1e-3, add_bias=True)
+        for method in ("tron", "stron"):
+            solver = SolverConfig(method=method, grad_tol=1e-10)
+            problem = make_problem(config, data)
+            got, termination, w = trajectory_sha256(problem, solver)
+            reference = make_problem(config, data)
+            reference.make_hess_vec = (
+                lambda w, rows=None, _p=reference: full_row_hess_vec(_p, w, rows))
+            assert (got, termination) == trajectory_sha256(reference, solver)[:2]
+            assert termination == "converged"
+            assert np.mean(problem.margins(w) < 1.0) < GATHER_MAX_ACTIVE
