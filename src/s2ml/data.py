@@ -268,22 +268,27 @@ def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
                       in enumerate(rows, start=1)), n_cols)
 
 
-def _opener(path: Path):
-    """``gzip.open`` for a gzip file (told by its magic bytes), else ``open``."""
+def _read(path: Path) -> bytes:
+    """The bytes of a file, gunzipped when it starts with the gzip magic."""
     with open(path, "rb") as fh:
-        return gzip.open if fh.read(2) == b"\x1f\x8b" else open
+        gzipped = fh.read(2) == b"\x1f\x8b"
+        fh.seek(0)
+        if not gzipped:
+            return fh.read()
+        with gzip.GzipFile(fileobj=fh) as gz:
+            return gz.read()
 
 
-def _parse_lines(path: Path, n_cols: int | None) -> tuple[Dataset, bool]:
-    """The line parser: ``(dataset, whether a label 0 was seen)``. It skips
-    comments and blank lines, sorts each row, and raises LibsvmParseError
-    with the 1-based line number on anything malformed."""
+def _parse_lines(data: bytes, n_cols: int | None) -> tuple[Dataset, bool]:
+    """The line parser over a file's bytes: ``(dataset, whether a label 0
+    was seen)``. It splits lines as a text-mode read would (universal
+    newlines), skips comments and blank lines, sorts each row, and raises
+    LibsvmParseError with the 1-based line number on anything malformed."""
     zero_seen = False
 
     def rows():
         nonlocal zero_seen
-        with _opener(path)(path, "rt", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = data.decode("utf-8").splitlines()
         for lineno, raw in enumerate(lines, start=1):
             if not raw.split("#", 1)[0].strip():
                 continue
@@ -409,20 +414,21 @@ def _parse_block(b: np.ndarray, m: int):
     return labels, counts, idx, vals
 
 
-def _parse_fast(path: Path, n_cols: int | None) -> tuple[Dataset, bool] | None:
-    """Vectorized parse of a whole file: ``(dataset, whether a label 0 was
-    seen)``, with the arrays the line parser would build, or None for any
-    input it does not take: comments, blank lines, tabs or carriage returns,
-    non-ASCII bytes, unsorted or duplicate indices, index forms other than
-    plain digits, and every token the line parser rejects. It raises no
-    parse error.
+def _parse_fast(held: list[bytes], n_cols: int | None) -> tuple[Dataset, bool] | None:
+    """Vectorized parse of the file bytes in the one-item list ``held``:
+    ``(dataset, whether a label 0 was seen)``, with the arrays the line
+    parser would build, or None for any input it does not take: comments,
+    blank lines, tabs or carriage returns, non-ASCII bytes, unsorted or
+    duplicate indices, index forms other than plain digits, and every token
+    the line parser rejects. It raises no parse error.
 
     Blocks cut at line ends keep its scratch memory bounded; the outputs are
     allocated once, sized by the newline and colon counts, which are exact
-    when every block parses.
+    when every block parses. On success it empties ``held``, so the bytes
+    are freed before validation allocates its own scratch; on None they
+    are left for the line parser.
     """
-    with _opener(path)(path, "rb") as fh:
-        data = fh.read()
+    data = held[0]
     if not data:
         return None
     n_rows = data.count(b"\n") + (not data.endswith(b"\n"))
@@ -452,7 +458,8 @@ def _parse_fast(path: Path, n_cols: int | None) -> tuple[Dataset, bool] | None:
         zero_seen = zero_seen or bool(np.any(lab == 0))
         row += lab.size
         entry += idx.size
-    del data, buf  # before validation allocates its own scratch
+    held.clear()
+    del data, buf
     return _build(labels, offsets, cols, vals, n_cols), zero_seen
 
 
@@ -469,15 +476,16 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
 
     Label "0" is accepted and mapped to -1 (one warning per file). Errors
     carry the offending 1-based line number; a truncated gzip file raises
-    ``gzip.BadGzipFile`` naming the path. A file in plain form takes the
-    vectorized parse and any other the line parser; both give the same
-    Dataset.
+    ``gzip.BadGzipFile`` naming the path. The file is read once; a file in
+    plain form takes the vectorized parse of those bytes and any other the
+    line parser; both give the same Dataset.
     """
     path = Path(path)
     try:
-        ds, zero_seen = _parse_fast(path, n_cols_hint) or _parse_lines(path, n_cols_hint)
+        held = [_read(path)]  # read once, for either parser
     except EOFError as exc:  # a gzip stream cut short
         raise gzip.BadGzipFile(f"{path}: {exc}") from exc
+    ds, zero_seen = _parse_fast(held, n_cols_hint) or _parse_lines(held[0], n_cols_hint)
     if zero_seen:
         warnings.warn(f"{path}: label '0' mapped to -1", stacklevel=2)
     return ds

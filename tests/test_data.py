@@ -1,4 +1,6 @@
+import builtins
 import gzip
+import os
 import warnings
 from pathlib import Path
 
@@ -273,6 +275,80 @@ class TestFastPath:
                     monkeypatch, path, hint), text
         fast = sum(t is not None for t in taken)
         assert 0.2 * len(taken) < fast < 0.8 * len(taken)
+
+
+def _text_mode_outcome(monkeypatch, tmp_path, path, n_cols_hint):
+    """The line parser's outcome on a text-mode (universal newlines) read of
+    the file, rewritten as plain UTF-8: the reference for the line split of
+    the bytes the loader reads once. Warnings name ``path``."""
+    opener = gzip.open if path.read_bytes()[:2] == b"\x1f\x8b" else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as exc:  # UnicodeDecodeError
+        return (type(exc), str(exc), None), []
+    ref = tmp_path / "text-mode.libsvm"
+    ref.write_bytes(text.encode("utf-8"))
+    result, caught = _line_parser_outcome(monkeypatch, ref, n_cols_hint)
+    return result, [(c, m.replace(str(ref), str(path))) for c, m in caught]
+
+
+def _late(bad_line: str, n: int = 400) -> bytes:
+    """``n`` lines in plain form with a tab in the first (so the line parser
+    takes the file) and ``bad_line`` as line ``n - 1``."""
+    lines = [f"{'+1' if i % 2 else '-1'} {i % 7 + 1}:0.{i}" for i in range(n)]
+    lines[0] = lines[0].replace(" ", "\t")
+    lines[n - 2] = bad_line
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_FALLBACK_INPUTS = {
+    "comments": (FIXTURES / "comments.libsvm").read_bytes(),
+    "crlf": b"# header\r\n+1 1:1 3:0.5\r\n\r\n-1 2:-1 # tail\r\n",
+    "lone-cr": b"+1 1:1\r-1 2:1\r\r0 3:2",
+    "tabs": b"+1\t1:1\t2:2\n-1 \t 3:0.25\n",
+    "other-line-breaks": "+1 1:1\x0c-1 2:1\u2028+1 3:1\x85-1 1:2\n".encode("utf-8"),
+    "late-malformed": _late("+1 2:x"),
+    "late-duplicate": _late("-1 4:1 4:2"),
+    "late-bad-utf8": _late("+1 1:1") + b"-1 2:\xff\n",
+    "gzip-crlf": gzip.compress(b"# c\r\n+1 1:1\r\n-1 2:2\r\n"),
+    "gzip-late-malformed": gzip.compress(_late("+1 0:1")),
+}
+
+
+class TestReadOnce:
+    """The loader reads a file's bytes once; the line parser splits those
+    bytes as a text-mode read does."""
+
+    @pytest.mark.parametrize("name", sorted(_FALLBACK_INPUTS))
+    def test_line_split_matches_text_mode_read(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "in.libsvm"
+        path.write_bytes(_FALLBACK_INPUTS[name])
+        parse_fast = s2ml.data._parse_fast
+        taken = []
+        monkeypatch.setattr(s2ml.data, "_parse_fast", lambda held, n_cols: (
+            taken.append(parse_fast(held, n_cols)) or taken[-1]))
+        for hint in (None, 9):
+            assert _outcome(path, hint) == _text_mode_outcome(
+                monkeypatch, tmp_path, path, hint)
+        assert taken == [None, None]  # the line parser ran both times
+
+    @pytest.mark.parametrize("name", ["comments", "gzip-crlf", "plain-form"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "in.libsvm"
+        path.write_bytes(b"+1 1:1\n-1 2:1\n" if name == "plain-form"
+                         else _FALLBACK_INPUTS[name])
+        real_open = builtins.open
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        load_dataset(path).validate()
+        assert len(opened) == 1
 
 
 class TestRowsInput:

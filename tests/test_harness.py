@@ -1,11 +1,14 @@
 import hashlib
 import math
 import os
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import s2ml.harness as harness
 from helpers import QuadraticProblem, classification_dataset
 from s2ml.data import serialize_dataset
 from s2ml.harness import (CSV_HEADER, ConvergenceError, ExperimentSpec,
@@ -310,3 +313,156 @@ class TestSvg:
     def test_unknown_metric_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="metric"):
             render_convergence_svg(self.traces_two_solvers(), "loss", tmp_path / "x.svg")
+
+
+def _spy_run_solver(monkeypatch):
+    """Record every (problem, config, callback) the harness passes on."""
+    seen = []
+    real = harness.run_solver
+
+    def spy(problem, config, callback=None):
+        seen.append((problem, config, callback))
+        return real(problem, config, callback)
+
+    monkeypatch.setattr(harness, "run_solver", spy)
+    return seen
+
+
+def _solved(problem):
+    """A final iterate of the kind a benchmarked solver hands over."""
+    w, termination = run_solver(problem, SolverConfig(method="lbfgs", grad_tol=1e-6))
+    assert termination == "converged"
+    return w
+
+
+class CountingHv:
+    """A problem proxy that counts Hessian-vector applies."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.applies = 0
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def make_hess_vec(self, w, rows=None):
+        hv = self._problem.make_hess_vec(w, rows)
+
+        def counted(v):
+            self.applies += 1
+            return hv(v)
+
+        return counted
+
+
+class TestWarmFStar:
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_warm_agrees_with_cold(self, monkeypatch, kind, bias):
+        problem = make_problem(ProblemConfig(kind=kind, lam=1e-3, add_bias=bias),
+                               small_instance(20, n=300, d=30))
+        cold = compute_f_star(problem)
+        seen = _spy_run_solver(monkeypatch)
+        warm = compute_f_star(problem, start=_solved(problem))
+        assert isinstance(seen[0][0], harness._Shifted)  # the warm run was taken
+        assert abs(warm - cold) <= 1e-14 * abs(cold)
+
+    def test_warm_point_meets_the_cold_certificate(self, monkeypatch):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=1e-3),
+                               small_instance(21, n=300, d=30))
+        start = _solved(problem)
+        seen = _spy_run_solver(monkeypatch)
+        w = harness._reference_point(problem, start)
+        assert seen[0][1] is not harness._FSTAR_SOLVER
+        g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
+        assert np.linalg.norm(problem.gradient(w)) <= 1e-12 * g0
+        assert not np.array_equal(w, start)
+
+    @pytest.mark.parametrize("start", ["nan", "zero", "far"])
+    def test_poor_start_falls_back_to_cold(self, monkeypatch, start):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=1e-3),
+                               small_instance(22, n=300, d=30))
+        cold = compute_f_star(problem)
+        w0 = {"nan": np.full(problem.dim, np.nan), "zero": np.zeros(problem.dim),
+              "far": np.full(problem.dim, 1e3)}[start]
+        g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
+        assert not np.linalg.norm(problem.gradient(w0)) < g0
+        seen = _spy_run_solver(monkeypatch)
+        assert compute_f_star(problem, start=w0) == cold
+        assert seen == [(problem, harness._FSTAR_SOLVER, None)]
+
+    def test_unmoved_solvers_fall_back_to_cold(self, tmp_path, monkeypatch):
+        train = write_split(tmp_path, "train.libsvm", small_instance(23))
+        spec = ExperimentSpec(
+            problem=ProblemConfig(kind="logistic", lam=0.1),
+            solvers=[SolverConfig(method="tron", max_iters=0),
+                     SolverConfig(method="lbfgs", max_iters=0)],
+            train_path=train)
+        seen = _spy_run_solver(monkeypatch)
+        run_experiment(spec)
+        reference = [(p, c) for p, c, cb in seen if cb is None]
+        assert len(reference) == 1
+        problem, config = reference[0]
+        assert config is harness._FSTAR_SOLVER
+        assert not isinstance(problem, harness._Shifted)
+
+    def test_warm_run_needs_fewer_hessian_products(self):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=1e-4),
+                               small_instance(24, n=400, d=40))
+        start = _solved(problem)
+        cold, warm = CountingHv(problem), CountingHv(problem)
+        assert compute_f_star(cold) == pytest.approx(
+            compute_f_star(warm, start=start), rel=1e-14)
+        assert 0 < warm.applies < cold.applies
+
+
+class TestReferenceFromIterates:
+    def _spec(self, tmp_path, **kw):
+        train = write_split(tmp_path, "train.libsvm", small_instance(25))
+        return ExperimentSpec(problem=ProblemConfig(kind="logistic", lam=0.05),
+                              train_path=train, **kw)
+
+    def test_stale_cache_warns_naming_the_file(self, tmp_path):
+        spec = self._spec(tmp_path, solvers=[SolverConfig(method="tron", grad_tol=1e-8)])
+        best = run_experiment(spec)["tron"][0][-1].objective
+        cache, = tmp_path.glob("*.fstar")
+        # a cached value equal to the best final objective is no sign of staleness
+        cache.write_text(f"{best:.17g}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(spec)
+        cache.write_text(f"{best + 1e-3:.17g}\n")
+        with pytest.warns(RuntimeWarning, match=re.escape(str(cache))):
+            traces = run_experiment(spec)
+        assert traces["tron"][0][-1].optimality_gap < 0
+
+    def test_hook_contract(self, tmp_path, monkeypatch):
+        # the benchmark probe swaps in wrappers with exactly these signatures
+        # and fails a process whose call counts differ
+        real_run, real_f_star = harness.run_solver, harness.compute_f_star
+        calls = []
+        depth = []
+
+        def run_solver(problem, config, callback=None):
+            calls.append(("run_solver", bool(depth), callback is None))
+            return real_run(problem, config, callback)
+
+        def compute_f_star(*args, **kwargs):
+            calls.append(("compute_f_star",))
+            depth.append(1)
+            try:
+                return real_f_star(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(harness, "run_solver", run_solver)
+        monkeypatch.setattr(harness, "compute_f_star", compute_f_star)
+        spec = self._spec(tmp_path, repetitions=2, solvers=[
+            SolverConfig(method=m) for m in ("tron", "stron", "lbfgs")])
+        run_experiment(spec)
+        assert calls.count(("compute_f_star",)) == 1
+        runs = [c for c in calls if c[0] == "run_solver"]
+        assert len(runs) == len(spec.solvers) * spec.repetitions + 1
+        # one reference run, inside compute_f_star, after every timed run
+        assert runs[-1] == ("run_solver", True, True)
+        assert all(c == ("run_solver", False, False) for c in runs[:-1])
