@@ -273,10 +273,9 @@ def _read(path: Path) -> bytes:
     with open(path, "rb") as fh:
         gzipped = fh.read(2) == b"\x1f\x8b"
         fh.seek(0)
-        if not gzipped:
-            return fh.read()
-        with gzip.GzipFile(fileobj=fh) as gz:
-            return gz.read()
+        # one call holds the packed and the unpacked bytes, less than
+        # GzipFile.read's join of its chunks
+        return gzip.decompress(fh.read()) if gzipped else fh.read()
 
 
 def _parse_lines(data: bytes, n_cols: int | None) -> tuple[Dataset, bool]:

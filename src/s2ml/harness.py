@@ -7,6 +7,7 @@ timed region, so recorded wall-clock times reflect training work only.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
@@ -115,35 +116,43 @@ def _fstar_key(problem):
 class _Shifted:
     """``problem`` seen from ``start``: the kernels at z are those of the
     given object at ``start + z``, so a solver run from z = 0 is a run from
-    ``start``."""
+    ``start``. ``grad_start``, the full-data gradient at ``start``, is
+    returned read-only for an all-zero z instead of being evaluated again."""
 
-    def __init__(self, problem, start):
+    def __init__(self, problem, start, grad_start):
         self._problem, self._start = problem, start
+        self._grad_start = grad_start.view()
+        self._grad_start.flags.writeable = False
         self.dim, self.n_rows = problem.dim, problem.n_rows
 
     def objective(self, z, rows=None):
         return self._problem.objective(self._start + z, rows)
 
     def gradient(self, z, rows=None):
+        if rows is None and not np.any(z):  # start + (+-0) is start, bit for bit
+            return self._grad_start
         return self._problem.gradient(self._start + z, rows)
 
     def make_hess_vec(self, z, rows=None):
         return self._problem.make_hess_vec(self._start + z, rows)
 
 
-def _reference_point(problem, start=None) -> np.ndarray:
+def _reference_point(problem, start=None, grad_norm0=None) -> np.ndarray:
     """A point w with ||grad f(w)|| <= 1e-12 ||grad f(0)||, by the reference
     tron run: warm from ``start`` when its gradient norm is finite, nonzero
-    and below the one at 0, else cold from 0. Raises ConvergenceError."""
+    and below the one at 0 (``grad_norm0``, evaluated here when not given),
+    else cold from 0. Raises ConvergenceError."""
     config, target = _FSTAR_SOLVER, problem
     if start is not None:
-        g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
-        g_start = np.linalg.norm(problem.gradient(start))
-        if 0.0 < g_start < g0:
+        if grad_norm0 is None:
+            grad_norm0 = float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
+        grad_start = problem.gradient(start)
+        g_start = float(np.linalg.norm(grad_start))
+        if 0.0 < g_start < grad_norm0:
             # the same absolute stopping point, relative to ||grad f(start)||
             config = replace(_FSTAR_SOLVER,
-                             grad_tol=float(_FSTAR_SOLVER.grad_tol * g0 / g_start))
-            target = _Shifted(problem, start)
+                             grad_tol=_FSTAR_SOLVER.grad_tol * grad_norm0 / g_start)
+            target = _Shifted(problem, start, grad_start)
     w, termination = run_solver(target, config)
     if termination != "converged":
         raise ConvergenceError(
@@ -152,21 +161,25 @@ def _reference_point(problem, start=None) -> np.ndarray:
     return w if target is problem else start + w
 
 
-def compute_f_star(problem, cache_dir=None, start=None) -> float:
+def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> float:
     """Reference optimum of the problem, cached by dataset digest and config.
 
     Runs the trust-region Newton solver until ``||grad f(w)|| <= 1e-12
     ||grad f(0)||``, from ``start`` when that point's gradient norm is
     finite, nonzero and below the one at 0 (the best iterate of the
-    benchmarked solvers, say), else from 0. The objective is strongly
-    convex for lam > 0, so the certificate does not depend on the start,
-    which only shortens the run. When ``cache_dir`` is given the value is
-    persisted as ``<digest>.fstar`` (17 significant digits) and reused on
-    later calls; the file is replaced atomically, so a reader never sees a
-    partial one. A cached value above ``f(start)`` by more than 1e-12 of
-    its magnitude cannot be the optimum, and draws a ``RuntimeWarning``
-    that names the file. Raises :class:`ConvergenceError` if the run does
-    not converge.
+    benchmarked solvers, say), else from 0. ``grad_norm0``, when given, is
+    taken as ``||grad f(0)||`` (a solver's iteration-0 record holds it);
+    else it is evaluated. The objective is strongly convex for lam > 0, so
+    the certificate does not depend on the start, which only shortens the
+    run. When ``cache_dir`` is given the value is persisted as
+    ``<digest>.fstar`` (17 significant digits) and reused on later calls;
+    the file is replaced atomically, so a reader never sees a partial one.
+    A directory that takes no new file (read-only, say) draws a
+    ``RuntimeWarning`` naming the path and its error, and the value is
+    returned uncached. A cached value above ``f(start)`` by more than
+    1e-12 of its magnitude cannot be the optimum, and draws a
+    ``RuntimeWarning`` that names the file. Raises
+    :class:`ConvergenceError` if the run does not converge.
     """
     key = _fstar_key(problem) if cache_dir is not None else None
     cache_path = None
@@ -184,7 +197,7 @@ def compute_f_star(problem, cache_dir=None, start=None) -> float:
                         "cache is stale, delete it to recompute",
                         RuntimeWarning, stacklevel=2)
             return value
-    value = float(problem.objective(_reference_point(problem, start)))
+    value = float(problem.objective(_reference_point(problem, start, grad_norm0)))
     if cache_path is not None:
         _write_atomic(cache_path, f"{value:.17g}\n")
     return value
@@ -192,14 +205,22 @@ def compute_f_star(problem, cache_dir=None, start=None) -> float:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write a temp file in the target's directory, then rename it over the
-    target; on any failure the temp file is removed."""
+    target; on any failure the temp file is removed. A temp file that
+    cannot be written (a read-only directory, say) leaves the target as it
+    was and draws a ``RuntimeWarning`` naming the path and the error; a
+    failed rename raises."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    renaming = False
     try:
         tmp.write_text(text)
+        renaming = True
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if renaming or not isinstance(exc, OSError):
+            raise
+        warnings.warn(f"{path}: not cached: {exc}", RuntimeWarning, stacklevel=3)
 
 
 def _unique_names(configs) -> list[str]:
@@ -257,7 +278,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
                 f"test data has {test.n_cols} feature columns, train has {train.n_cols}")
 
     results: dict[str, list[list[TraceRecord]]] = {}
-    best_w, best_obj = None, math.inf
+    best_w, best_obj, grad_norm0 = None, math.inf, None
     for name, cfg in zip(_unique_names(spec.solvers), spec.solvers):
         reps = []
         for rep in range(spec.repetitions):
@@ -265,12 +286,13 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
             records, w = _run_one(problem, run_cfg, test)
             if records and records[-1].objective < best_obj:
                 best_w, best_obj = w, records[-1].objective
+                grad_norm0 = records[0].grad_norm  # ||grad f(0)||, as iteration 0
             reps.append(records)
         results[name] = reps
 
     if spec.f_star == "compute":
         f_star = compute_f_star(problem, cache_dir=Path(spec.train_path).parent,
-                                start=best_w)
+                                start=best_w, grad_norm0=grad_norm0)
     else:
         f_star = float(spec.f_star)
     for reps in results.values():

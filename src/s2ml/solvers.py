@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "METHODS",
@@ -156,12 +155,72 @@ def _tridiag(alphas: list[float], betas: list[float]) -> np.ndarray:
     return T
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4 * np.finfo(np.float64).eps, maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket [a, b] by Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    This is scipy's C ``brentq`` operation for operation: the same sign-bit
+    bracket tests, the same interpolate/extrapolate/bisect choice, the
+    tolerance ``delta = (xtol + rtol*|x|)/2`` and the ``+-delta`` minimum
+    step, so it returns the same double. Raises ValueError when f(a) and
+    f(b) have the same sign and RuntimeError after ``maxiter`` iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
 def _ball_min(T: np.ndarray, gnorm: float, radius: float):
     """Minimize gnorm*e1.h + 0.5 h.T.h over ||h|| <= radius (small dense T).
 
     Returns ``(h, boundary_active, negative_curvature)``. Solved through an
-    eigendecomposition plus a safeguarded root find on the boundary
-    multiplier, with the degenerate (no gradient mass on the lowest
+    eigendecomposition plus a root find on the boundary multiplier by
+    Brent's method (:func:`_brentq`, which matches scipy's ``brentq`` bit
+    for bit), with the degenerate (no gradient mass on the lowest
     eigenspace) case handled explicitly.
     """
     lam, V = np.linalg.eigh(T)
@@ -203,8 +262,8 @@ def _ball_min(T: np.ndarray, gnorm: float, radius: float):
             hi = 2.0 * hi + 1.0
         # the reciprocal form is close to linear in nu, so the root find is
         # well conditioned across extreme radius scales
-        nu = brentq(lambda t: 1.0 / max(hnorm(t), 1e-300) - 1.0 / radius,
-                    lo + eps, hi, maxiter=200)
+        nu = _brentq(lambda t: 1.0 / max(hnorm(t), 1e-300) - 1.0 / radius,
+                     lo + eps, hi, maxiter=200)
         h = V @ (-(c / (lam + nu)))
     nh = _norm(h)
     if nh > 0.0:

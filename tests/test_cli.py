@@ -1,4 +1,8 @@
 import gzip
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -230,6 +234,59 @@ class TestBenchmark:
         assert rc == 0
         traces = read_trace_csv(out_dir / "traces.csv")
         assert len(traces["stron"]) == 2
+
+    def test_unwritable_data_dir_still_completes(self, tmp_path, data_dir, train,
+                                                 monkeypatch):
+        # the temp-file write is refused as in a read-only directory; a
+        # monkeypatch, because a chmod does not stop a test run as root
+        write_text = Path.write_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name.endswith(".tmp"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        out_dir = tmp_path / "results"
+        with pytest.warns(RuntimeWarning, match="Permission denied"):
+            rc = main(["benchmark", "--data", train, "--solver", "tron",
+                       "--solver", "lbfgs", "--max-iters", "8", "--out-dir", str(out_dir)])
+        assert rc == 0
+        traces = read_trace_csv(out_dir / "traces.csv")
+        assert [len(traces[name][0]) for name in ("tron", "lbfgs")] == [9, 9]
+        assert all(np.isfinite(r.optimality_gap) for reps in traces.values()
+                   for r in reps[0])
+        assert not list(data_dir.glob("*.tmp")) and not list(data_dir.glob("*.fstar"))
+
+    def test_process_never_imports_scipy_optimize(self, tmp_path, train):
+        # a fresh interpreter: the test process itself imports scipy.optimize
+        script = textwrap.dedent(f"""
+            import sys
+            import s2ml.solvers as solvers
+            from s2ml.cli import main
+
+            root_finds = []
+            brentq = solvers._brentq
+
+            def counted(*args, **kwargs):
+                root_finds.append(args)
+                return brentq(*args, **kwargs)
+
+            solvers._brentq = counted
+            rc = main(["benchmark", "--data", {train!r}, "--solver", "tron",
+                       "--tr-radius0", "1e-3", "--max-iters", "5",
+                       "--out-dir", {str(tmp_path / "out")!r}])
+            assert rc == 0, rc
+            assert root_finds, "no boundary step took the root find"
+            loaded = [m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"]]
+            assert not loaded, loaded
+        """)
+        src = str(Path(s2ml.data.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestFstarAndPlot:

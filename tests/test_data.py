@@ -351,6 +351,60 @@ class TestReadOnce:
         assert len(opened) == 1
 
 
+def _gzip_inputs() -> dict[str, bytes]:
+    packed = gzip.compress(b"+1 1:0.5 3:2\n-1 2:1\n" * 50)
+    bad_crc = bytearray(packed)
+    bad_crc[-8] ^= 0xFF  # the CRC-32 field of the trailer
+    return {
+        "truncated": packed[:len(packed) // 2],
+        "bad-crc": bytes(bad_crc),
+        "multi-member": packed + gzip.compress(b"+1 4:1\n"),
+        "nul-padding": packed + b"\0" * 7,
+    }
+
+
+_GZIP_INPUTS = _gzip_inputs()
+
+
+class TestGunzip:
+    """The one-call gunzip reads what a streamed GzipFile read does, and
+    fails where it fails."""
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            return read()
+        except (EOFError, OSError) as exc:  # BadGzipFile is an OSError
+            return type(exc)
+
+    @pytest.mark.parametrize("name", sorted(_GZIP_INPUTS))
+    def test_read_matches_gzipfile(self, tmp_path, name):
+        path = tmp_path / "in.libsvm.gz"
+        path.write_bytes(_GZIP_INPUTS[name])
+
+        def streamed():
+            with gzip.GzipFile(path) as gz:
+                return gz.read()
+
+        expect = self._outcome(streamed)
+        assert self._outcome(lambda: s2ml.data._read(path)) == expect
+        if name == "truncated":
+            assert expect is EOFError
+        elif name == "bad-crc":
+            assert expect is gzip.BadGzipFile
+        else:
+            assert isinstance(expect, bytes)
+
+    @pytest.mark.parametrize("name", ["truncated", "bad-crc"])
+    def test_load_error_names_the_path(self, tmp_path, name):
+        path = tmp_path / "in.libsvm.gz"
+        path.write_bytes(_GZIP_INPUTS[name])
+        with pytest.raises(gzip.BadGzipFile) as info:
+            load_dataset(path)
+        if name == "truncated":
+            assert str(info.value).startswith(f"{path}: ")
+
+
 class TestRowsInput:
     # row inputs beyond parse_libsvm_line's (int, [(int, float)]) pairs:
     # other numeric types, unsorted rows and the duplicate-index error

@@ -355,6 +355,22 @@ class CountingHv:
         return counted
 
 
+class CountingGrad:
+    """A problem proxy that records the point of every full-data gradient."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.points = []
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def gradient(self, w, rows=None):
+        if rows is None:
+            self.points.append(np.array(w))
+        return self._problem.gradient(w, rows)
+
+
 class TestWarmFStar:
     @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
     @pytest.mark.parametrize("bias", [False, True])
@@ -415,6 +431,33 @@ class TestWarmFStar:
             compute_f_star(warm, start=start), rel=1e-14)
         assert 0 < warm.applies < cold.applies
 
+    def test_no_gradient_evaluated_twice(self):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=1e-4),
+                               small_instance(26, n=400, d=40))
+        start = _solved(problem)
+        g0 = float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
+        plain, told = CountingGrad(problem), CountingGrad(problem)
+        assert compute_f_star(told, start=start, grad_norm0=g0) == \
+            compute_f_star(plain, start=start)
+        # told skips grad f(0); both hand grad f(start) to the run's first state
+        assert len(plain.points) == len(told.points) + 1
+        assert np.array_equal(plain.points[0], np.zeros(problem.dim))
+        seen = [w.tobytes() for w in told.points]
+        assert seen[0] == start.tobytes()
+        assert len(set(seen)) == len(seen)
+
+    def test_shifted_gradient_at_zero_is_read_only(self):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=1e-3),
+                               small_instance(27))
+        start = np.full(problem.dim, 0.1)
+        shifted = harness._Shifted(problem, start, problem.gradient(start))
+        for z in (np.zeros(problem.dim), np.full(problem.dim, -0.0)):
+            g = shifted.gradient(z)
+            assert not g.flags.writeable
+            assert g.tobytes() == problem.gradient(start).tobytes()
+        z = np.full(problem.dim, 1e-3)
+        assert shifted.gradient(z).tobytes() == problem.gradient(start + z).tobytes()
+
 
 class TestReferenceFromIterates:
     def _spec(self, tmp_path, **kw):
@@ -435,6 +478,43 @@ class TestReferenceFromIterates:
         with pytest.warns(RuntimeWarning, match=re.escape(str(cache))):
             traces = run_experiment(spec)
         assert traces["tron"][0][-1].optimality_gap < 0
+
+    def test_reference_gets_the_iteration_zero_gradient_norm(self, tmp_path,
+                                                             monkeypatch):
+        seen = []
+        real = harness.compute_f_star
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "compute_f_star", spy)
+        spec = self._spec(tmp_path, solvers=[SolverConfig(method="tron")])
+        traces = run_experiment(spec)
+        g0 = traces["tron"][0][0].grad_norm
+        problem = make_problem(spec.problem, harness.load_dataset(spec.train_path))
+        assert g0 == float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
+        assert seen[0]["grad_norm0"] == g0
+
+    def test_unwritable_cache_warns_and_returns(self, tmp_path, monkeypatch):
+        spec = self._spec(tmp_path, solvers=[SolverConfig(method="tron")])
+        written = run_experiment(spec)
+        cache, = tmp_path.glob("*.fstar")
+        cache.unlink()
+        write_text = Path.write_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name.endswith(".tmp"):
+                write_text(path, "partial")
+                raise PermissionError(13, "Permission denied", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        with pytest.warns(RuntimeWarning, match=re.escape(str(cache)) + ".*denied"):
+            traces = run_experiment(spec)
+        assert [r.optimality_gap for r in traces["tron"][0]] == \
+            [r.optimality_gap for r in written["tron"][0]]
+        assert not list(tmp_path.glob("*.fstar")) and not list(tmp_path.glob("*.tmp"))
 
     def test_hook_contract(self, tmp_path, monkeypatch):
         # the benchmark probe swaps in wrappers with exactly these signatures

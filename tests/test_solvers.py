@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import math
 import struct
 from collections import deque
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 from helpers import (QuadraticProblem, ball_min_brute_force, classification_dataset,
                      dense_bfgs_direction, full_row_hess_vec, model_value)
+from s2ml import solvers
 from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 from s2ml.solvers import (LbfgsMemory, SolverConfig, SolverState, init_state,
                           lbfgs_direction, lbfgs_step, newton_cg_step, run_solver,
@@ -490,3 +493,108 @@ class TestActiveRowTrajectories:
             assert (got, termination) == trajectory_sha256(reference, solver)[:2]
             assert termination == "converged"
             assert np.mean(problem.margins(w) < 1.0) < GATHER_MAX_ACTIVE
+
+
+def _brentq_outcome(fn, f, a, b, **kw):
+    """The root's bit pattern, or the type of the exception raised."""
+    try:
+        return float(fn(f, a, b, **kw)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class _Floor:
+    """Wraps f and records the smallest nonzero |f| it returned: older scipy
+    releases test signs with the product of two values, which underflows
+    below about 1e-150, so such cases are not comparable."""
+
+    def __init__(self, f):
+        self.f, self.least = f, math.inf
+
+    def __call__(self, x):
+        fx = self.f(x)
+        if fx != 0.0:
+            self.least = min(self.least, abs(fx))
+        return fx
+
+
+class TestBrentq:
+    """``_brentq`` returns the same double as scipy's ``brentq``, or raises
+    the same exception type; scipy.optimize is imported here only."""
+
+    def _assert_matches(self, cases):
+        """Compare every case; return the outcomes of those compared."""
+        from scipy.optimize import brentq
+
+        compared = []
+        for f, a, b, kw in cases:
+            f = _Floor(f)
+            ours = _brentq_outcome(solvers._brentq, f, a, b, **kw)
+            if f.least < 1e-150:
+                continue
+            assert ours == _brentq_outcome(brentq, f, a, b, **kw), (a, b, kw)
+            compared.append(ours)
+        return compared
+
+    def test_ball_min_secular_equations(self, monkeypatch):
+        # the equations _ball_min hands to the root find, captured at the call
+        cases = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(f, a, b, **kw):
+            cases.append((f, a, b, kw))
+            raise Captured
+
+        monkeypatch.setattr(solvers, "_brentq", capture)
+        rng = np.random.default_rng(2024)
+        while len(cases) < 6_000:
+            k = int(rng.integers(1, 13))
+            # CG coefficients: alpha < 0 where CG met negative curvature
+            signs = np.where(rng.random(k) < 0.2, -1.0, 1.0)
+            alphas = list(signs * 10.0 ** rng.uniform(-4, 4, size=k))
+            betas = list(10.0 ** rng.uniform(-4, 2, size=k - 1))
+            with contextlib.suppress(Captured):
+                solvers._ball_min(solvers._tridiag(alphas, betas),
+                                  10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-8, 8))
+        monkeypatch.undo()
+        assert len(self._assert_matches(cases)) >= 5_950
+
+    def test_generic_brackets(self):
+        rng = np.random.default_rng(7)
+        families = [
+            lambda r, q: lambda x: (x - r) * (1.0 + q * (x - r) ** 2),
+            lambda r, q: lambda x: math.tanh(q * (x - r)),
+            lambda r, q: lambda x: math.exp(min(x, 700.0)) - math.exp(r),
+            lambda r, q: lambda x: x ** 3 - r ** 3,
+            lambda r, q: lambda x: math.cos(q * x) - math.cos(q * r),
+            lambda r, q: lambda x: math.atan(x - r) + q * (x - r) ** 3,
+        ]
+        cases = []
+        for _ in range(6_000):
+            r = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 2))
+            q = float(10.0 ** rng.uniform(-2, 2))
+            f = families[int(rng.integers(len(families)))](r, q)
+            a = r - float(10.0 ** rng.uniform(-6, 1))
+            b = r + float(10.0 ** rng.uniform(-6, 1))
+            if rng.random() < 0.1:  # a bracket on one side of the root
+                a, b = b, b + float(10.0 ** rng.uniform(-3, 1))
+            if rng.random() < 0.5:
+                a, b = b, a
+            kw = {}
+            if rng.random() < 0.1:
+                kw["maxiter"] = int(rng.integers(1, 4))
+            if rng.random() < 0.2:
+                kw["xtol"] = float(10.0 ** rng.uniform(-10, -3))
+            cases.append((f, a, b, kw))
+        outcomes = self._assert_matches(cases)
+        assert len(outcomes) >= 5_950
+        assert {ValueError, RuntimeError} <= set(outcomes)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            solvers._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(RuntimeError, match="2 iterations"):
+            solvers._brentq(lambda x: x ** 3 - 2.0, 0.0, 10.0, maxiter=2)
+        assert solvers._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
