@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import math
 import warnings
+import zlib
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -300,14 +301,11 @@ def _parse_lines(data: bytes, n_cols: int | None) -> tuple[Dataset, bool]:
 
 
 # The vectorized parse takes only bytes the line parser reads the same way:
-# spaces, "\n" and token bytes (printable ASCII other than "#").
-_TOKEN_BYTE = np.zeros(256, dtype=bool)
-_TOKEN_BYTE[0x21:0x7F] = True
-_TOKEN_BYTE[ord("#")] = False
-_SEPARATOR = np.zeros(256, dtype=bool)
-_SEPARATOR[[ord(" "), ord("\n")]] = True
-_ALLOWED = _TOKEN_BYTE | _SEPARATOR
-_NEWLINE, _COLON, _ZERO = (np.uint8(ord(c)) for c in "\n:0")
+# spaces, "\n" and token bytes (printable ASCII other than "#"). So the only
+# bytes it sees below "!" are the two separators.
+_ALLOWED_BYTES = b" \n" + bytes(range(0x21, 0x7F)).replace(b"#", b"")
+_SPACE, _NEWLINE, _COLON = (np.uint8(ord(c)) for c in " \n:")
+_ZERO, _ONE, _PLUS, _MINUS = (np.uint8(ord(c)) for c in "01+-")
 _BLOCK_BYTES = 1 << 18  # bounds the parse's scratch arrays to a few MB
 _MAX_TOKEN = 32         # longer tokens (serialize_dataset writes none) fall back
 _MAX_DIGITS = 15        # longer indices fall back; 15 digits cannot overflow int64
@@ -362,17 +360,36 @@ def _indices(chars: np.ndarray, lengths: np.ndarray):
     return (digits.astype(np.int64) @ powers) // powers[lengths - 1]
 
 
+def _labels(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The label tokens at ``starts`` as the line parser reads them, 1, -1
+    or 0, or None if it rejects one. When every token is "+1", "-1", "1"
+    or "0" they are read by byte comparison; any other form sends them all
+    through :func:`_floats`. ``b`` extends past the tokens as in
+    :func:`_token_chars`."""
+    first = b[starts]
+    canonical = np.where(lengths == 1, (first == _ONE) | (first == _ZERO),
+                         (lengths == 2) & (b[starts + 1] == _ONE)
+                         & ((first == _PLUS) | (first == _MINUS)))
+    if canonical.all():
+        return np.where(first == _MINUS, -1, np.where(first == _ZERO, 0, 1))
+    chars = _token_chars(b, starts, lengths)
+    labels = None if chars is None else _floats(chars)
+    if labels is None or not np.all((labels == 1) | (labels == -1) | (labels == 0)):
+        return None
+    return labels
+
+
 def _parse_block(b: np.ndarray, m: int):
     """Parse ``b[:m]``, whole lines the last of which ends in "\\n";
-    ``b`` holds ``_MAX_TOKEN`` more bytes of padding.
+    ``b`` holds ``_MAX_TOKEN`` more bytes of padding. The bytes of ``b[:m]``
+    must all be in ``_ALLOWED_BYTES`` (``_parse_fast`` checks the file once),
+    so the bytes ``<= 0x20`` are exactly the separators " " and "\\n".
 
-    Returns ``(labels as floats, entries per row, 1-based indices, values)``
-    as the line parser would read them, or None for anything else.
+    Returns ``(labels as 1, -1 or 0, entries per row, 1-based indices,
+    values)`` as the line parser would read them, or None for anything else.
     """
     t = b[:m]
-    if not _ALLOWED[t].all():
-        return None
-    sep = _SEPARATOR[t]
+    sep = t <= _SPACE
     line_starts = np.concatenate(([0], np.flatnonzero(t == _NEWLINE)[:-1] + 1))
     # each line starts with its label: no leading space, no blank line
     if sep[line_starts].any():
@@ -405,9 +422,8 @@ def _parse_block(b: np.ndarray, m: int):
     vals = None if chars is None else _floats(chars)
     if vals is None or not np.all(np.isfinite(vals)):
         return None
-    chars = _token_chars(b, starts[label_tok], ends[label_tok] - starts[label_tok])
-    labels = None if chars is None else _floats(chars)
-    if labels is None or not np.all((labels == 1) | (labels == -1) | (labels == 0)):
+    labels = _labels(b, starts[label_tok], ends[label_tok] - starts[label_tok])
+    if labels is None:
         return None
     counts = np.diff(np.append(label_tok, starts.size)) - 1
     return labels, counts, idx, vals
@@ -421,22 +437,24 @@ def _parse_fast(held: list[bytes], n_cols: int | None) -> tuple[Dataset, bool] |
     duplicate indices, index forms other than plain digits, and every token
     the line parser rejects. It raises no parse error.
 
-    Blocks cut at line ends keep its scratch memory bounded; the outputs are
-    allocated once, sized by the newline and colon counts, which are exact
-    when every block parses. On success it empties ``held``, so the bytes
-    are freed before validation allocates its own scratch; on None they
-    are left for the line parser.
+    One pass over the whole file first rejects any byte outside
+    ``_ALLOWED_BYTES``; that check is what lets each block find its
+    separators as the bytes ``<= 0x20``. Blocks cut at line ends keep the
+    scratch memory bounded; the outputs are allocated once, sized by the
+    newline and colon counts, which are exact when every block parses. On
+    success it empties ``held``, so the bytes are freed before validation
+    allocates its own scratch; on None they are left for the line parser.
     """
     data = held[0]
-    if not data:
+    if not data or data.translate(None, _ALLOWED_BYTES):
         return None
-    n_rows = data.count(b"\n") + (not data.endswith(b"\n"))
-    nnz = data.count(b":")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n_rows = int(np.count_nonzero(buf == _NEWLINE)) + (not data.endswith(b"\n"))
+    nnz = int(np.count_nonzero(buf == _COLON))
     labels = np.empty(n_rows, dtype=np.int64)
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    buf = np.frombuffer(data, dtype=np.uint8)
     zero_seen = False
     row = entry = 0
     for start, end in _blocks(data):
@@ -474,15 +492,15 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
         ``n_cols = max(n_cols_hint, largest index seen)``.
 
     Label "0" is accepted and mapped to -1 (one warning per file). Errors
-    carry the offending 1-based line number; a truncated gzip file raises
-    ``gzip.BadGzipFile`` naming the path. The file is read once; a file in
-    plain form takes the vectorized parse of those bytes and any other the
-    line parser; both give the same Dataset.
+    carry the offending 1-based line number; a truncated or corrupt gzip
+    file raises ``gzip.BadGzipFile`` naming the path. The file is read
+    once; a file in plain form takes the vectorized parse of those bytes
+    and any other the line parser; both give the same Dataset.
     """
     path = Path(path)
     try:
         held = [_read(path)]  # read once, for either parser
-    except EOFError as exc:  # a gzip stream cut short
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut short or corrupt
         raise gzip.BadGzipFile(f"{path}: {exc}") from exc
     ds, zero_seen = _parse_fast(held, n_cols_hint) or _parse_lines(held[0], n_cols_hint)
     if zero_seen:

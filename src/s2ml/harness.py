@@ -10,13 +10,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import html
 import math
 import os
 import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -456,7 +456,8 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
         Y = _MT + 10 + 18 * si
         el.append(f'<line x1="{_W - _MR + 12}" y1="{Y}" x2="{_W - _MR + 36}" '
                   f'y2="{Y}" stroke="{color}" stroke-width="2"/>')
-        el.append(f'<text x="{_W - _MR + 42}" y="{Y + 4}">{escape(name)}</text>')
+        el.append(f'<text x="{_W - _MR + 42}" y="{Y + 4}">'
+                  f'{html.escape(name, quote=False)}</text>')
     el.append("</g>")
     el.append("</svg>")
     Path(path).write_text("\n".join(el) + "\n")

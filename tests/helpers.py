@@ -3,6 +3,8 @@ quadratic problem implementing the solver protocol."""
 
 from __future__ import annotations
 
+import gzip
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -26,6 +28,18 @@ def random_rows(rng, n, d, allow_empty=True, nonzero_values=False):
 
 def random_dataset(rng, n, d, **kw) -> Dataset:
     return dataset_from_rows(random_rows(rng, n, d, **kw), n_cols=d)
+
+
+# the byte flipped for each kind of corrupt gzip stream: one in the deflate
+# body (zlib rejects the stream), the CRC-32 and the length trailer fields
+CORRUPT_GZIP_BYTE = {"body": 12, "crc": -8, "length": -4}
+
+
+def corrupt_gzip(raw: bytes, kind: str) -> bytes:
+    """``raw`` gzipped, with the byte of ``CORRUPT_GZIP_BYTE[kind]`` flipped."""
+    packed = bytearray(gzip.compress(raw, mtime=0))
+    packed[CORRUPT_GZIP_BYTE[kind]] ^= 0xFF
+    return bytes(packed)
 
 
 def classification_dataset(rng, n, d, nnz, noise=0.5) -> Dataset:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import s2ml.data
+from helpers import corrupt_gzip
 from s2ml.cli import MODEL_MAGIC, ModelFormatError, main, read_model, write_model
 from s2ml.data import load_dataset
 from s2ml.harness import CSV_HEADER, read_trace_csv
@@ -147,6 +148,15 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("s2ml: error: ") and cut in err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("kind", ["body", "crc", "length"])
+    def test_corrupt_gzip_exits_2(self, tmp_path, train, capsys, kind):
+        bad = tmp_path / "train.libsvm.gz"
+        bad.write_bytes(corrupt_gzip(Path(train).read_bytes(), kind))
+        rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"s2ml: error: {bad}: ")
         assert not (tmp_path / "m.txt").exists()
 
     def test_huge_feature_index_exits_2(self, tmp_path, capsys):
@@ -287,6 +297,19 @@ class TestBenchmark:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_network_or_sax_modules():
+    # a fresh interpreter: pytest itself may have imported them
+    script = ("import sys, s2ml.cli; print(' '.join(m for m in "
+              "('urllib.request', 'http.client', 'xml.sax') if m in sys.modules))")
+    src = str(Path(s2ml.data.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 class TestFstarAndPlot:

@@ -2,13 +2,14 @@ import builtins
 import gzip
 import os
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import s2ml.data
-from helpers import random_dataset, random_rows
+from helpers import corrupt_gzip, random_dataset, random_rows
 from s2ml.data import (Dataset, LibsvmParseError, SparseMatrix,
                        dataset_from_rows, load_dataset, parse_libsvm_line,
                        serialize_dataset)
@@ -403,6 +404,95 @@ class TestGunzip:
             load_dataset(path)
         if name == "truncated":
             assert str(info.value).startswith(f"{path}: ")
+
+
+class TestCorruptGzip:
+    """A gzip stream that fails to inflate raises BadGzipFile naming the
+    path, whichever part of it is corrupt."""
+
+    @pytest.mark.parametrize("kind, cause", [("body", zlib.error),
+                                             ("crc", gzip.BadGzipFile),
+                                             ("length", gzip.BadGzipFile)],
+                             ids=["body", "crc", "length"])
+    def test_error_names_the_path(self, tmp_path, kind, cause):
+        path = tmp_path / "in.libsvm.gz"
+        path.write_bytes(corrupt_gzip((FIXTURES / "train1000.libsvm").read_bytes(), kind))
+        with pytest.raises(gzip.BadGzipFile) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert type(info.value.__cause__) is cause
+
+
+def _spy_parse_fast(monkeypatch) -> list:
+    """Record what each ``_parse_fast`` call returns (None: it declined)."""
+    parse_fast = s2ml.data._parse_fast
+    taken = []
+    monkeypatch.setattr(s2ml.data, "_parse_fast", lambda held, n_cols: (
+        taken.append(parse_fast(held, n_cols)) or taken[-1]))
+    return taken
+
+
+def _place(byte: bytes, where: str) -> bytes:
+    """40 lines in plain form with ``byte`` in the first or the last line
+    (in place of the space after the label, or before the line end), or as
+    the file's final byte."""
+    lines = [f"{'+1' if i % 2 else '-1'} {i % 7 + 1}:0.{i} 9:{i}".encode()
+             for i in range(40)]
+    line = 0 if where.startswith("first") else -1
+    if where.endswith("separator"):
+        lines[line] = lines[line].replace(b" ", byte, 1)
+    elif where.endswith("end"):
+        lines[line] += byte
+    text = b"\n".join(lines) + b"\n"
+    return text + byte if where == "final byte" else text
+
+
+class TestFastPathPreconditions:
+    """The file-level byte check, the separators found as bytes <= 0x20 and
+    the byte comparison of canonical labels give what the line parser
+    gives."""
+
+    @pytest.mark.parametrize("where", ["first separator", "first end",
+                                       "last separator", "last end", "final byte"])
+    @pytest.mark.parametrize("byte", [b"\t", b"#", b"\r", b"\x7f", b"\xc3", b"\x01"],
+                             ids=["tab", "hash", "cr", "del", "c3", "soh"])
+    def test_disallowed_byte_declined(self, tmp_path, monkeypatch, byte, where):
+        # small blocks: the byte sits only in the first or only in the last one
+        monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", 64)
+        path = tmp_path / "in.libsvm"
+        path.write_bytes(_place(byte, where))
+        expected = [_line_parser_outcome(monkeypatch, path, hint) for hint in (None, 12)]
+        taken = _spy_parse_fast(monkeypatch)
+        assert [_outcome(path, hint) for hint in (None, 12)] == expected
+        assert taken == [None, None]
+
+    @pytest.mark.parametrize("block_bytes", [None, 16])
+    @pytest.mark.parametrize("other", [None, "+0", "-0", "1.0", "01", "+01", "1e0"])
+    def test_canonical_labels_mixed_with(self, tmp_path, monkeypatch, other, block_bytes):
+        if block_bytes is not None:  # the other form in a block of its own
+            monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
+        labels = ["+1", "-1", "1", "0", other, "-1", "+1", "1", "0"]
+        path = tmp_path / "in.libsvm"
+        path.write_text("".join(f"{label} {i + 1}:0.5\n"
+                                for i, label in enumerate(labels) if label))
+        expected = _line_parser_outcome(monkeypatch, path, None)
+        taken = _spy_parse_fast(monkeypatch)
+        assert _outcome(path, None) == expected
+        assert taken[0] is not None
+
+    @pytest.mark.parametrize("block_bytes", [None, 16])
+    def test_only_zero_labels(self, tmp_path, monkeypatch, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "in.libsvm"
+        path.write_bytes(b"0 1:1\n0 2:0.5 3:2\n0\n0 1:-1")
+        expected = _line_parser_outcome(monkeypatch, path, None)
+        taken = _spy_parse_fast(monkeypatch)
+        result, caught = _outcome(path, None)
+        assert (result, caught) == expected
+        assert taken[0] is not None
+        assert np.frombuffer(result[2][1], dtype=np.int64).tolist() == [-1] * 4
+        assert caught == [(UserWarning, f"{path}: label '0' mapped to -1")]
 
 
 class TestRowsInput:

@@ -310,6 +310,17 @@ class TestSvg:
         render_convergence_svg(traces, "optimality_gap", p)
         assert ">1e-16<" in p.read_text()
 
+    def test_legend_escaped_as_saxutils_escapes(self, tmp_path):
+        # saxutils is the reference only: s2ml does not import it
+        from xml.sax.saxutils import escape
+        name = "a<b&c>\"d'"
+        p = tmp_path / "gap.svg"
+        render_convergence_svg({name: [[sample_record(0), sample_record(3)]]},
+                               "optimality_gap", p)
+        legend = p.read_text().splitlines()[-3]
+        assert legend.endswith(f">{escape(name)}</text>")
+        assert escape(name) == "a&lt;b&amp;c&gt;\"d'"
+
     def test_unknown_metric_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="metric"):
             render_convergence_svg(self.traces_two_solvers(), "loss", tmp_path / "x.svg")
