@@ -5,7 +5,7 @@ The package splits into data handling (:mod:`s2ml.data`), loss problems
 (:mod:`s2ml.harness`), and the command-line front end (:mod:`s2ml.cli`).
 """
 
-from .data import (Dataset, LibsvmParseError, SparseMatrix, dataset_from_rows,
+from .data import (Dataset, Features, LibsvmParseError, dataset_from_rows,
                    load_dataset, parse_libsvm_line, serialize_dataset)
 from .harness import (ConvergenceError, ExperimentSpec, TraceRecord,
                       compute_f_star, read_trace_csv, render_convergence_svg,
@@ -18,7 +18,7 @@ from .solvers import (IterationSnapshot, SolverConfig, SolverState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "LibsvmParseError", "SparseMatrix", "dataset_from_rows",
+    "Dataset", "Features", "LibsvmParseError", "dataset_from_rows",
     "load_dataset", "parse_libsvm_line", "serialize_dataset",
     "ConvergenceError", "ExperimentSpec", "TraceRecord", "compute_f_star",
     "read_trace_csv", "render_convergence_svg", "run_experiment",

@@ -1,11 +1,12 @@
-"""LIBSVM-format data handling on a compact CSR representation.
+"""LIBSVM-format data handling on one read-only CSR matrix.
 
 Datasets are parsed from the standard sparse text format (``label idx:val``
 with 1-based, ascending indices), validated, and stored immutably so that
-many solver runs can share one copy. Input files may be plain text or
-gzip-compressed (detected by magic bytes). Files in plain form take a
-vectorized parse; any other file goes through the line parser, which gives
-the same arrays and is the only source of errors.
+many solver runs can share one copy of the scipy CSR matrix
+(:class:`Features`). Input files may be plain text or gzip-compressed
+(detected by magic bytes). Files in plain form take a vectorized parse;
+any other file goes through the line parser, which gives the same arrays
+and is the only source of errors.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import warnings
 import zlib
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LibsvmParseError",
-    "SparseMatrix",
+    "Features",
     "Dataset",
     "parse_libsvm_line",
     "load_dataset",
@@ -49,109 +49,62 @@ class LibsvmParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Compressed sparse row matrix: float64 values, 0-based column indices.
+class Features(sp.csr_matrix):
+    """CSR features: float64 values, 0-based column indices in scipy's index
+    dtype (int32 when the shape fits), plus read-only LIBSVM-side names."""
 
-    Invariants (checked by :meth:`validate`): ``row_offsets`` is
-    non-decreasing with ``row_offsets[0] == 0`` and
-    ``row_offsets[-1] == len(values) == len(col_indices)``; within each row
-    column indices strictly increase; all column indices are < ``n_cols``.
-    The arrays are frozen on construction.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_offsets",
-                           np.ascontiguousarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices",
-                           np.ascontiguousarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values",
-                           np.ascontiguousarray(self.values, dtype=np.float64))
-        for arr in (self.row_offsets, self.col_indices, self.values):
-            arr.setflags(write=False)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    def validate(self) -> None:
-        """Raise ValueError if any CSR invariant is violated."""
-        ro, ci, v = self.row_offsets, self.col_indices, self.values
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if ro.shape != (self.n_rows + 1,):
-            raise ValueError("row_offsets must have length n_rows + 1")
-        if ci.shape != v.shape:
-            raise ValueError("col_indices and values must have equal length")
-        if ro[0] != 0 or ro[-1] != v.size:
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(ro) < 0):
-            raise ValueError("row_offsets must be non-decreasing")
-        if ci.size:
-            if ci.min() < 0 or ci.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            # d[j] compares col_indices[j+1] with col_indices[j]; pairs that
-            # straddle a row start carry no ordering constraint.
-            d = np.diff(ci)
-            mask = np.ones(d.shape, dtype=bool)
-            starts = ro[1:-1]
-            starts = starts[(starts >= 1) & (starts <= ci.size - 1)]
-            mask[starts - 1] = False
-            if not np.all(d[mask] > 0):
-                raise ValueError("column indices within a row must strictly increase")
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        """scipy view over the same arrays, used for mat-vec kernels."""
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols), copy=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols
-                and np.array_equal(self.row_offsets, other.row_offsets)
-                and np.array_equal(self.col_indices, other.col_indices)
-                and np.array_equal(self.values, other.values))
+    row_offsets = property(attrgetter("indptr"))
+    col_indices = property(attrgetter("indices"))
+    values = property(attrgetter("data"))
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable feature matrix plus binary labels in {-1, +1}."""
+    """Immutable feature matrix, the one the problems multiply by, plus
+    binary labels in {-1, +1}; all arrays are frozen on construction."""
 
-    features: SparseMatrix
+    features: Features
     labels: np.ndarray
 
     def __post_init__(self):
+        m = self.features
+        for arr in (m.data, m.indices, m.indptr):
+            arr.setflags(write=False)
         object.__setattr__(self, "labels",
                            np.ascontiguousarray(self.labels, dtype=np.int64))
         self.labels.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
-        return self.features.n_rows
+        return self.features.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.features.n_cols
+        return self.features.shape[1]
 
     def validate(self) -> None:
-        self.features.validate()
-        if self.labels.shape != (self.features.n_rows,):
+        """Raise ValueError unless the matrix is well-formed CSR whose rows
+        strictly increase in column index, with finite values, and every
+        label is -1 or +1."""
+        m = self.features
+        m.check_format(full_check=True)
+        if not m.has_canonical_format:
+            raise ValueError("column indices within a row must strictly increase")
+        if not np.all(np.isfinite(m.data)):
+            raise ValueError("feature values must be finite")
+        if self.labels.shape != (self.n_rows,):
             raise ValueError("labels must have one entry per row")
         if self.labels.size and not np.all(np.abs(self.labels) == 1):
             raise ValueError("labels must be -1 or +1")
 
     def __eq__(self, other):
-        return (isinstance(other, Dataset)
-                and self.features == other.features
+        if not isinstance(other, Dataset):
+            return False
+        a, b = self.features, other.features
+        return (a.shape == b.shape
+                and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices)
+                and np.array_equal(a.data, b.data)
                 and np.array_equal(self.labels, other.labels))
 
 
@@ -217,14 +170,12 @@ def parse_libsvm_line(line: str, lineno: int | None = None):
 
 def _build(labels, offsets, cols, vals, n_cols: int | None) -> Dataset:
     """The validated Dataset over int64 labels and CSR arrays whose int64
-    column indices are still 1-based (shifted here, in place)."""
+    column indices are still 1-based (shifted here, in place); scipy picks
+    the index dtype the matrix keeps."""
     cols -= 1
     seen = int(cols.max()) + 1 if cols.size else 0
     width = max(n_cols or 0, seen)
-    ds = Dataset(
-        SparseMatrix(n_rows=labels.size, n_cols=width, row_offsets=offsets,
-                     col_indices=cols, values=vals),
-        labels)
+    ds = Dataset(Features((vals, cols, offsets), shape=(labels.size, width)), labels)
     ds.validate()
     return ds
 
@@ -523,10 +474,10 @@ def serialize_dataset(ds: Dataset) -> str:
     """
     m = ds.features
     out = []
-    for i in range(m.n_rows):
-        a, b = int(m.row_offsets[i]), int(m.row_offsets[i + 1])
+    for i in range(ds.n_rows):
+        a, b = int(m.indptr[i]), int(m.indptr[i + 1])
         parts = ["+1" if ds.labels[i] > 0 else "-1"]
         parts.extend(f"{int(j) + 1}:{_format_value(x)}"
-                     for j, x in zip(m.col_indices[a:b], m.values[a:b]))
+                     for j, x in zip(m.indices[a:b], m.data[a:b]))
         out.append(" ".join(parts))
     return "\n".join(out) + ("\n" if out else "")

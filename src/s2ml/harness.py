@@ -90,12 +90,14 @@ class ExperimentSpec:
 
 
 def dataset_digest(data: Dataset) -> str:
-    """Content hash of a dataset (shape, structure, values, labels)."""
+    """Content hash of a dataset (shape, structure, values, labels), with
+    the index arrays cast to int64 so that their dtype never moves it."""
     h = hashlib.sha256()
     m = data.features
-    h.update(np.array([m.n_rows, m.n_cols], dtype=np.int64).tobytes())
-    for arr in (m.row_offsets, m.col_indices, m.values, data.labels):
-        h.update(arr.tobytes())
+    h.update(np.array(m.shape, dtype=np.int64))
+    for arr in (m.indptr.astype(np.int64), m.indices.astype(np.int64),
+                m.data, data.labels):
+        h.update(arr)
     return h.hexdigest()
 
 

@@ -5,8 +5,10 @@ gradient, Hessian-vector product, and prediction accuracy that the solvers
 consume. Losses are averaged over the evaluated rows (so a row batch is an
 unbiased estimate of the full mean); the L2 penalty ``0.5 * lam * ||w||^2``
 is always added in full and never touches the bias coordinate. Evaluations
-are pure functions of their arguments, run single-threaded with a fixed
-reduction order, and are therefore reproducible bit for bit.
+are pure functions of their arguments, reproducible bit for bit on one
+machine with one BLAS build and BLAS thread count: dense dot products go
+through BLAS, which splits long reductions (about 20k entries and up) over
+its threads.
 
 A problem remembers the margins ``y * (X @ w)`` of its last full-data call
 (``rows=None``), keyed by a copy of w's bit pattern, so ``gradient`` after
@@ -38,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 
@@ -75,6 +76,10 @@ class ProblemConfig:
                              f"expected one of {sorted(PROBLEM_KINDS)}")
         if self.lam is not None and not (float(self.lam) >= 0.0):
             raise ValueError("lam must be >= 0")
+        if self.kind == "logistic":
+            # load expit's module with the config, so that its one-off import
+            # (about 0.1 s) never lands in a solver's timed run
+            import scipy.special  # noqa: F401
 
 
 class Problem:
@@ -95,7 +100,7 @@ class Problem:
         self.data = data
         self.lam = float(config.lam) if config.lam is not None else 1.0 / data.n_rows
         self.add_bias = config.add_bias
-        self._X = data.features.csr
+        self._X = data.features
         self._XT = self._X.T  # bound once: X.T builds a new CSC wrapper per call
         self._y = data.labels.astype(np.float64)
         self._memo = None  # (bit pattern of w, margins) of the last full-data call
@@ -219,7 +224,7 @@ class Problem:
             raise ValueError(f"dataset has {data.n_cols} feature columns, "
                              f"expected {self.data.n_cols}")
         wf, b = self._split(w)
-        scores = data.features.csr @ wf + b
+        scores = data.features @ wf + b
         pred = np.where(scores >= 0.0, 1, -1)
         return float(np.mean(pred == data.labels))
 
@@ -235,9 +240,11 @@ class LogisticRegressionProblem(Problem):
         return np.logaddexp(0.0, -m)
 
     def _dmargin(self, m):
+        from scipy.special import expit  # loaded by the logistic config
         return -expit(-m)
 
     def _curvature(self, m):
+        from scipy.special import expit
         return expit(m) * expit(-m)
 
 

@@ -82,7 +82,7 @@ def full_row_hess_vec(problem, w, rows=None):
     """A problem's Hessian-vector operator over every evaluated row, straight
     from H v = X' diag(curvature) X v / n + lam v (bias entry included): the
     reference the active-row operator must match bit for bit."""
-    X = problem.data.features.csr
+    X = problem.data.features
     if rows is not None:
         X = X[rows]
     m = problem.margins(w, rows)

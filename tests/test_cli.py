@@ -299,6 +299,30 @@ class TestBenchmark:
         assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("kind, loads_special", [("svm-l2", False), ("logistic", True)])
+def test_scipy_special_loaded_only_for_logistic(tmp_path, train, kind, loads_special):
+    # a fresh interpreter: the test process itself imports scipy.special
+    script = textwrap.dedent(f"""
+        import sys
+        from s2ml.cli import main
+        from s2ml.problems import ProblemConfig
+
+        ProblemConfig(kind={kind!r})  # loads it, before any solver runs
+        assert ("scipy.special" in sys.modules) is {loads_special}
+        rc = main(["train", "--data", {train!r}, "--problem", {kind!r},
+                   "--max-iters", "3", "--out", {str(tmp_path / "model.txt")!r}])
+        assert rc == 0, rc
+        print("scipy.special" in sys.modules)
+    """)
+    src = str(Path(s2ml.data.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(loads_special)
+
+
 def test_import_loads_no_network_or_sax_modules():
     # a fresh interpreter: pytest itself may have imported them
     script = ("import sys, s2ml.cli; print(' '.join(m for m in "

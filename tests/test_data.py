@@ -10,7 +10,7 @@ import pytest
 
 import s2ml.data
 from helpers import corrupt_gzip, random_dataset, random_rows
-from s2ml.data import (Dataset, LibsvmParseError, SparseMatrix,
+from s2ml.data import (Dataset, Features, LibsvmParseError,
                        dataset_from_rows, load_dataset, parse_libsvm_line,
                        serialize_dataset)
 
@@ -152,7 +152,7 @@ def _outcome(path, n_cols_hint):
             result = (type(exc), str(exc), getattr(exc, "lineno", None))
         else:
             m = ds.features
-            result = (m.n_rows, m.n_cols) + tuple(
+            result = (ds.n_rows, ds.n_cols) + tuple(
                 (a.dtype.str, a.tobytes())
                 for a in (ds.labels, m.row_offsets, m.col_indices, m.values))
     return result, [(w.category, str(w.message)) for w in caught]
@@ -495,6 +495,13 @@ class TestFastPathPreconditions:
         assert caught == [(UserWarning, f"{path}: label '0' mapped to -1")]
 
 
+def _dataset(n_rows, n_cols, offsets, cols, vals, labels=None):
+    """A Dataset over hand-written CSR arrays, not yet validated."""
+    features = Features((np.array(vals, dtype=np.float64), cols, offsets),
+                        shape=(n_rows, n_cols))
+    return Dataset(features, [1] * n_rows if labels is None else labels)
+
+
 class TestRowsInput:
     # row inputs beyond parse_libsvm_line's (int, [(int, float)]) pairs:
     # other numeric types, unsorted rows and the duplicate-index error
@@ -519,8 +526,30 @@ class TestRowsInput:
         assert ds.labels.tolist() == labels and ds.labels.dtype == np.int64
         m = ds.features
         assert m.row_offsets.tolist() == offsets
-        assert m.col_indices.tolist() == cols and m.col_indices.dtype == np.int64
+        assert m.col_indices.tolist() == cols and m.col_indices.dtype == np.int32
         assert m.values.tolist() == vals and m.values.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataset_from_rows([(1, [(1, 1.0)]), (-1, [(2, value)])])
+        ds = _dataset(1, 2, [0, 1], [1], [value])
+        with pytest.raises(ValueError, match="finite"):
+            ds.validate()
+
+    def test_index_dtype_follows_the_shape(self, tmp_path):
+        small = dataset_from_rows([(1, [(1, 0.5), (4, 2.0)])])
+        assert small.features.indices.dtype == small.features.indptr.dtype == np.int32
+        wide = dataset_from_rows([(1, [(3, 0.5), (3_000_000_000, -1.5)])])
+        m = wide.features
+        assert m.indices.dtype == m.indptr.dtype == np.int64
+        assert wide.n_cols == 3_000_000_000
+        assert m.indices.tolist() == [2, 2_999_999_999]
+        wide.validate()
+        p = tmp_path / "wide.libsvm"
+        p.write_text(serialize_dataset(wide))
+        back = load_dataset(p)
+        assert back == wide and back.features.indices.dtype == np.int64
 
 
 class TestSerialize:
@@ -554,32 +583,31 @@ class TestSerialize:
 
 class TestSparseMatrix:
     def test_validate_rejects_bad_offsets(self):
-        m = SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            m.validate()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            _dataset(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0]).validate()
 
     def test_validate_rejects_unsorted_row(self):
-        m = SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
+        ds = _dataset(1, 3, [0, 2], [2, 0], [1.0, 2.0])
         with pytest.raises(ValueError, match="strictly increase"):
-            m.validate()
-
-    def test_validate_rejects_out_of_range_column(self):
-        m = SparseMatrix(1, 2, [0, 1], [5], [1.0])
-        with pytest.raises(ValueError, match="out of range"):
-            m.validate()
-
-    def test_validate_accepts_empty_rows(self):
-        m = SparseMatrix(3, 4, [0, 0, 2, 2], [1, 3], [1.0, -1.0])
-        m.validate()
-
-    def test_arrays_frozen(self):
-        m = SparseMatrix(1, 2, [0, 1], [0], [1.0])
-        with pytest.raises(ValueError):
-            m.values[0] = 3.0
-
-    def test_labels_must_be_binary(self):
-        m = SparseMatrix(1, 1, [0, 0], [], [])
-        ds = Dataset(m, np.array([2]))
-        with pytest.raises(ValueError, match="-1 or \\+1"):
             ds.validate()
 
+    def test_validate_rejects_out_of_range_column(self):
+        ds = _dataset(1, 2, [0, 1], [5], [1.0])
+        with pytest.raises(ValueError, match="indices must be < 2"):
+            ds.validate()
+
+    def test_validate_accepts_empty_rows(self):
+        _dataset(3, 4, [0, 0, 2, 2], [1, 3], [1.0, -1.0]).validate()
+
+    def test_arrays_frozen(self):
+        m = _dataset(1, 2, [0, 1], [0], [1.0]).features
+        assert m.row_offsets is m.indptr and m.col_indices is m.indices
+        assert m.values is m.data
+        for arr in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_labels_must_be_binary(self):
+        ds = _dataset(1, 1, [0, 0], [], [], labels=[2])
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ds.validate()

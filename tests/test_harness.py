@@ -89,6 +89,14 @@ class TestComputeFStar:
         assert dataset_digest(a) != dataset_digest(b)
         assert dataset_digest(a) == dataset_digest(a)
 
+    def test_digest_pinned(self):
+        # indices are hashed as int64 whatever dtype the matrix holds, so
+        # every cached .fstar key outlives a change of index dtype
+        ds = dataset_from_rows([(1, [(1, 0.5), (3, -2.0)]), (-1, [(2, 1.0)])], n_cols=4)
+        assert ds.features.indices.dtype == np.int32
+        assert dataset_digest(ds) == (
+            "3593fb17163b9b7e740b078a5b3087bef074d4dcc993f25f01fcd3d1b0235db2")
+
 
 class TestRunExperiment:
     def test_iter0_gap_uses_shared_f_star(self, tmp_path):

@@ -226,7 +226,7 @@ class TestPredictAccuracy:
             data = random_dataset(rng, 25, 6)
             problem = make_problem(ProblemConfig(kind="logistic", lam=1.0), data)
             w = rng.normal(size=problem.dim)
-            dense = data.features.csr.toarray()
+            dense = data.features.toarray()
             correct = 0
             for i in range(data.n_rows):
                 score = float(dense[i] @ w)
