@@ -62,8 +62,8 @@ def read_model(path):
         raise ModelFormatError(f"{path}: expected header {MODEL_MAGIC!r}")
     if len(lines) < 2:
         raise ModelFormatError(f"{path}: missing model description line")
-    m = re.fullmatch(r"kind=(logistic|svm-l2) lambda=(\S+) bias=([01]) dim=(\d+)",
-                     lines[1])
+    kinds = "|".join(map(re.escape, PROBLEM_KINDS))
+    m = re.fullmatch(rf"kind=({kinds}) lambda=(\S+) bias=([01]) dim=(\d+)", lines[1])
     if m is None:
         raise ModelFormatError(f"{path}: malformed description {lines[1]!r}")
     kind, lam_s, bias_s, dim_s = m.groups()

@@ -180,7 +180,8 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
     ``RuntimeWarning`` naming the path and its error, and the value is
     returned uncached. A cached value above ``f(start)`` by more than
     1e-12 of its magnitude cannot be the optimum, and draws a
-    ``RuntimeWarning`` that names the file. Raises
+    ``RuntimeWarning`` that names the file; one that is not a finite number
+    raises ``ValueError`` naming the file. Raises
     :class:`ConvergenceError` if the run does not converge.
     """
     key = _fstar_key(problem) if cache_dir is not None else None
@@ -189,7 +190,14 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         cache_path = Path(cache_dir) / f"{digest}.fstar"
         if cache_path.exists():
-            value = float(cache_path.read_text().strip())
+            text = cache_path.read_text().strip()
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{cache_path}: cached f* {text!r} is not a finite "
+                                 "number; delete the file to recompute")
             if start is not None:
                 f_start = float(problem.objective(start))
                 if value - f_start > 1e-12 * abs(value):
@@ -378,7 +386,8 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
 
     ``metric`` is ``"optimality_gap"`` (log-scale y, clamped below at 1e-16,
     ticks at decade marks) or ``"test_accuracy"`` (linear y). The x axis is
-    wall-clock seconds. One polyline per (solver, repetition); output is a
+    wall-clock seconds. One polyline per (solver, repetition); points whose
+    x or y is not finite (an infinite gap, say) are skipped. Output is a
     pure function of the input traces.
     """
     if metric not in ("optimality_gap", "test_accuracy"):
@@ -387,8 +396,9 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
     names = list(traces.keys())
     for si, name in enumerate(names):
         for records in traces[name]:
-            pts = [(t.wall_time_s, getattr(t, metric)) for t in records
-                   if getattr(t, metric) is not None]
+            pts = [(t.wall_time_s, getattr(t, metric)) for t in records]
+            pts = [(x, y) for x, y in pts
+                   if y is not None and math.isfinite(x) and math.isfinite(y)]
             if pts:
                 series.append((si, pts))
     if not series:

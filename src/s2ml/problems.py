@@ -10,13 +10,15 @@ machine with one BLAS build and BLAS thread count: dense dot products go
 through BLAS, which splits long reductions (about 20k entries and up) over
 its threads.
 
-A problem remembers the margins ``y * (X @ w)`` of its last full-data call
-(``rows=None``), keyed by a copy of w's bit pattern, so ``gradient`` after
-``objective`` at the same point, or ``make_hess_vec`` after an accepted
-step, skips the product with X and returns exactly what a fresh
+A problem remembers the full-data margins ``y * (X @ w)`` at the last point
+it was called with, keyed by a copy of w's bit pattern, so ``gradient``
+after ``objective`` at the same point, or ``make_hess_vec`` after an
+accepted step, skips the product with X and returns exactly what a fresh
 evaluation would. ``-0.0``, NaN payloads and in-place changes to w never
-alias another point, the remembered margins are read-only, and row-batch
-calls neither read nor replace them.
+alias another point, and the remembered margins are read-only. A row batch
+slices them (scipy sums each row of ``X @ w`` in stored order, so the bits
+match a batch product); a miss computes and keeps all n rows, which stron's
+batch calls at its iterate do only after a rejected step.
 
 The full-data transpose ``X.T`` is bound once per problem, so no gradient
 or Hessian-vector product rebuilds scipy's CSC wrapper per call. The
@@ -129,9 +131,9 @@ class Problem:
 
     # -- shared machinery ------------------------------------------------
     def _eval(self, w, rows):
-        """Select the rows, split off the bias and return ``(X, y, wf, m)``
-        with the margins m = y * (X @ wf + bias); full-data margins come
-        from the one-entry memo described in the module docstring."""
+        """Check the rows, split off the bias and return ``(rows, y, wf, m)``:
+        y and the memoized margins m = y * (X @ wf + bias) (see the module
+        docstring), both sliced to the rows."""
         w = np.asarray(w, dtype=np.float64)
         wf, b = self._split(w)
         if rows is not None:
@@ -140,15 +142,14 @@ class Problem:
                 raise ValueError("rows must be a non-empty 1-d index array")
             if rows[0] < 0 or rows[-1] >= self.n_rows or np.any(np.diff(rows) <= 0):
                 raise ValueError("rows must be sorted, distinct and within [0, n_rows)")
-            X, y = self._X[rows], self._y[rows]
-            return X, y, wf, y * (X @ wf + b)
         bits = w.view(np.uint64)
         if self._memo is None or not np.array_equal(self._memo[0], bits):
             self._memo = None  # free the old margins before computing new ones
             m = self._y * (self._X @ wf + b)
             m.flags.writeable = False
             self._memo = (bits.copy(), m)
-        return self._X, self._y, wf, self._memo[1]
+        sel = slice(None) if rows is None else rows
+        return rows, self._y[sel], wf, self._memo[1][sel]
 
     def _split(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -169,9 +170,9 @@ class Problem:
         return float(np.mean(self._loss(m)) + 0.5 * self.lam * (wf @ wf))
 
     def gradient(self, w, rows=None) -> np.ndarray:
-        X, y, wf, m = self._eval(w, rows)
+        rows, y, wf, m = self._eval(w, rows)
         c = self._dmargin(m) * y / m.size
-        XT = self._XT if X is self._X else X.T
+        XT = self._XT if rows is None else self._X[rows].T
         gf = XT @ c + self.lam * wf
         if self.add_bias:
             return np.concatenate([gf, [c.sum()]])
@@ -186,15 +187,16 @@ class Problem:
         curvature (squared hinge: margin < 1), the operator binds a copy of
         those rows and multiplies only them; its results are bit-identical
         to the all-row product (see the module docstring), and the mean is
-        still taken over all evaluated rows.
+        still taken over all evaluated rows. It gathers rows at most once.
         """
-        X, _, _, m = self._eval(w, rows)
+        rows, _, _, m = self._eval(w, rows)
         h = self._curvature(m) / m.size
         active = np.flatnonzero(h)
         gathered = active.size <= GATHER_MAX_ACTIVE * h.size
-        if gathered:
-            X, h = X[active], h[active]
-        XT = self._XT if X is self._X else X.T
+        if gathered:  # from here on, rows are the rows the operator multiplies
+            rows, h = (active if rows is None else rows[active]), h[active]
+        X = self._X if rows is None else self._X[rows]  # the one gather
+        XT = self._XT if rows is None else X.T
         lam = self.lam
         bias = self.add_bias
         n = m.size

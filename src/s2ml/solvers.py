@@ -358,8 +358,6 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
 
     if interior:
         return s, "max_iters"
-    if h is None:  # breakdown before any boundary solve; fall back to -g
-        return (-radius / gnorm) * g, "neg_curvature"
     status = "max_iters" if len(alphas) == max_iters else (
         "neg_curvature" if h_neg else "boundary")
     return _combine(basis, h, radius), status
@@ -699,21 +697,21 @@ def run_solver(problem, config: SolverConfig, callback=None):
     consecutive rejected steps), or ``"non_finite"`` (the objective or the
     gradient norm is not finite, e.g. the norm overflowed; checked before
     the convergence test, which such values would pass or fail spuriously).
+    The tests read each snapshot's ``grad_norm``; nothing recomputes it.
     """
     step_fn = _STEPS[config.method]
     state = init_state(problem, config)
-    initial = IterationSnapshot(
+    snapshot = IterationSnapshot(
         iter=0, w=state.w, objective=state.obj, grad_norm=state.grad_norm0,
         step_accepted=True,
         tr_radius=state.tr_radius if config.method in ("tron", "stron") else None,
         step_norm=0.0, cg_iters_used=0, rows_touched=0)
-    if not _emit(callback, initial):
+    if not _emit(callback, snapshot):
         return state.w, "stalled"
     while True:
-        grad_norm = _norm(state.grad)
-        if not (math.isfinite(grad_norm) and math.isfinite(state.obj)):
+        if not (math.isfinite(snapshot.grad_norm) and math.isfinite(state.obj)):
             return state.w, "non_finite"
-        if grad_norm <= config.grad_tol * state.grad_norm0:
+        if snapshot.grad_norm <= config.grad_tol * state.grad_norm0:
             return state.w, "converged"
         if state.iter >= config.max_iters:
             return state.w, "max_iters"

@@ -84,6 +84,20 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="description"):
             read_model(p)
 
+    def test_registered_kind_round_trip(self, tmp_path, monkeypatch):
+        # the description's kinds come from PROBLEM_KINDS, escaped: "svm-l2+"
+        # as a bare pattern would match "svm-l22", not itself
+        from s2ml.problems import PROBLEM_KINDS, SquaredHingeProblem
+        monkeypatch.setitem(PROBLEM_KINDS, "svm-l2+", SquaredHingeProblem)
+        p = tmp_path / "m.txt"
+        config = ProblemConfig(kind="svm-l2+", lam=0.5)
+        write_model(p, np.array([1.0, -2.0]), config)
+        back_w, back_cfg = read_model(p)
+        assert np.array_equal(back_w, [1.0, -2.0]) and back_cfg == config
+        p.write_text(p.read_text().replace("svm-l2+", "svm-l22"))
+        with pytest.raises(ModelFormatError, match="description"):
+            read_model(p)
+
     def test_unresolved_lambda_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="resolved lambda"):
             write_model(tmp_path / "m.txt", np.zeros(1), ProblemConfig(kind="logistic"))
@@ -344,6 +358,18 @@ class TestFstarAndPlot:
         assert np.isfinite(printed)
         assert list(data_dir.glob("*.fstar"))
 
+    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf"])
+    def test_fstar_rejects_a_cache_that_is_no_finite_number(self, tmp_path, data_dir,
+                                                            train, capsys, text):
+        assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 0
+        capsys.readouterr()
+        [cache] = data_dir.glob("*.fstar")
+        cache.write_text(text + "\n")
+        assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{cache}: cached f* {text!r} is not a finite number" in err
+
     def test_plot_from_csv(self, tmp_path, train, test_split):
         bench_dir = tmp_path / "bench"
         assert main(["benchmark", "--data", train, "--test-data", test_split,
@@ -355,6 +381,24 @@ class TestFstarAndPlot:
         assert rc == 0
         assert (plot_dir / "gap.svg").exists()
         assert (plot_dir / "accuracy.svg").exists()
+
+    @pytest.mark.parametrize("gaps, rc", [(["nan", "0.5", "0.25"], 0),
+                                          (["0.5", "inf", "0.25"], 0),
+                                          (["nan", "inf", "-inf"], 2)],
+                             ids=["nan-first", "inf-middle", "none-finite"])
+    def test_plot_skips_non_finite_gaps(self, tmp_path, capsys, gaps, rc):
+        path = tmp_path / "traces.csv"
+        rows = [f"tron,0,{i},{0.1 * (i + 1)},1.5,{gap},0.9,1.0,0"
+                for i, gap in enumerate(gaps)]
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == rc
+        if rc == 2:
+            assert "no data for metric 'optimality_gap'" in capsys.readouterr().err
+            return
+        text = (tmp_path / "gap.svg").read_text()
+        assert "nan" not in text and "inf" not in text
+        [line] = ElementTree.fromstring(text).iter("{http://www.w3.org/2000/svg}polyline")
+        assert len(line.get("points").split()) == 2
 
     def test_plot_missing_file_exits_2(self, tmp_path):
         assert main(["plot", "--data", str(tmp_path / "nope.csv")]) == 2

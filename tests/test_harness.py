@@ -62,6 +62,16 @@ class TestComputeFStar:
         files[0].write_text("1.5\n")
         assert compute_f_star(problem, cache_dir=tmp_path) == 1.5
 
+    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf"])
+    def test_cache_that_is_no_finite_number_rejected(self, tmp_path, text):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
+                               small_instance(2))
+        compute_f_star(problem, cache_dir=tmp_path)
+        [cache] = tmp_path.glob("*.fstar")
+        cache.write_text(text + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cache}: cached f* {text!r}")):
+            compute_f_star(problem, cache_dir=tmp_path)
+
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         # a crash between writing and renaming must not leave a partial cache
         def fail(src, dst):
@@ -328,6 +338,17 @@ class TestSvg:
         legend = p.read_text().splitlines()[-3]
         assert legend.endswith(f">{escape(name)}</text>")
         assert escape(name) == "a&lt;b&amp;c&gt;\"d'"
+
+    def test_non_finite_wall_time_skipped(self, tmp_path):
+        late = TraceRecord(iter=9, wall_time_s=math.inf, objective=0.0,
+                           optimality_gap=1e-3, test_accuracy=None,
+                           grad_norm=0.0, rows_touched=1)
+        p = tmp_path / "gap.svg"
+        render_convergence_svg({"tron": [[sample_record(0), sample_record(2), late]]},
+                               "optimality_gap", p)
+        text = p.read_text()
+        [points] = re.findall(r'<polyline points="([^"]*)"', text)
+        assert "inf" not in text and len(points.split()) == 2
 
     def test_unknown_metric_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="metric"):

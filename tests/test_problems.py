@@ -289,8 +289,8 @@ class CountingMatrix:
 
 class RowLoggingMatrix:
     """Stands in for a problem's CSR matrix and logs which original rows
-    reach ``X @ v`` and ``X.T @ u``; a row gather returns a logging matrix
-    over the gathered rows that writes to the same log."""
+    reach ``X @ v`` and ``X.T @ u``; a row gather is logged too, and returns
+    a logging matrix over the gathered rows that writes to the same log."""
 
     def __init__(self, X, row_ids=None, log=None):
         self.X = X
@@ -302,6 +302,7 @@ class RowLoggingMatrix:
         return self.X @ v
 
     def __getitem__(self, rows):
+        self.log.append(("gather", self.row_ids[rows]))
         return RowLoggingMatrix(self.X[rows], self.row_ids[rows], self.log)
 
     @property
@@ -369,7 +370,7 @@ class TestMarginMemo:
         problem.objective(w)
         assert counted.products == 1
         fresh = make_problem(problem.config, problem.data)
-        for _ in range(2):  # a row batch neither reads nor replaces the memo
+        for _ in range(2):  # a row batch at the memoized point slices the memo
             assert problem.objective(w, rows=rows) == fresh.objective(w, rows=rows)
             assert np.array_equal(problem.gradient(w, rows=rows),
                                   fresh.gradient(w, rows=rows))
@@ -447,7 +448,7 @@ class TestActiveRowOperator:
         problem._X = logged = RowLoggingMatrix(problem._X)
         problem._XT = logged.T
         hv = problem.make_hess_vec(w, rows)
-        logged.log.clear()  # a row batch logs its margins product
+        logged.log.clear()  # drop the operator's row gather
         hv(np.ones(problem.dim))
         return logged.log
 
@@ -506,3 +507,59 @@ class TestActiveRowOperator:
         self.assert_matches_reference(rng, problem, w)
         for _, ids in self.logged_rows(problem, w):
             assert np.array_equal(ids, np.arange(40))
+
+
+class TestRowBatchesSliceTheMemo:
+    """A row batch takes its margins from the full-data memo, and its
+    Hessian-vector operator gathers its rows from the full matrix once."""
+
+    @staticmethod
+    def log_products(problem):
+        problem._X = logged = RowLoggingMatrix(problem._X)
+        problem._XT = logged.T
+        return logged.log
+
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("add_bias", [False, True])
+    def test_batch_margins_are_the_memo_sliced(self, kind, add_bias):
+        rng = np.random.default_rng(41)
+        problem, w = random_problem(rng, kind, 0.1, n=50, d=7, add_bias=add_bias)
+        rows = np.sort(rng.choice(50, size=17, replace=False))
+        X, y = problem.data.features, problem.data.labels.astype(np.float64)
+        log = self.log_products(problem)
+        for point in (w, 2.0 * w):
+            wf, b = (point[:-1], float(point[-1])) if add_bias else (point, 0.0)
+            by_hand = y[rows] * (X[rows] @ wf + b)
+            log.clear()
+            # a miss computes and keeps the full-data margins, n rows ...
+            assert problem.margins(point, rows).tobytes() == by_hand.tobytes()
+            assert [(p, ids.tolist()) for p, ids in log] == [("X", list(range(50)))]
+            # ... and then a full-data call and a second batch are free
+            problem.objective(point)
+            assert problem.margins(point, rows).tobytes() == by_hand.tobytes()
+            assert len(log) == 1
+
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    def test_batch_operator_at_the_memoized_point_makes_no_product(self, kind):
+        rng = np.random.default_rng(42)
+        problem, w = random_problem(rng, kind, 0.1, n=50, d=6)
+        rows = np.sort(rng.choice(50, size=20, replace=False))
+        problem.objective(w)
+        log = self.log_products(problem)
+        problem.make_hess_vec(w, rows)
+        assert [p for p, _ in log] == ["gather"]
+
+    @pytest.mark.parametrize("add_bias", [False, True])
+    @pytest.mark.parametrize("n_active", [40, 110])
+    def test_one_gather_from_the_full_matrix(self, add_bias, n_active):
+        rng = np.random.default_rng(43)
+        margins = mixed_margins(rng, 120, n_active)
+        problem, w = margin_problem(rng, margins, add_bias)  # fills the memo
+        rows = np.sort(rng.choice(120, size=60, replace=False))
+        gathered = np.mean(margins[rows] < 1.0) <= GATHER_MAX_ACTIVE
+        assert gathered == (n_active == 40)
+        log = self.log_products(problem)
+        problem.make_hess_vec(w, rows)
+        [(product, ids)] = log
+        assert product == "gather"
+        assert np.array_equal(ids, rows[margins[rows] < 1.0] if gathered else rows)

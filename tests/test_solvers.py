@@ -83,6 +83,20 @@ class TestSteihaug:
         s, status = steihaug_cg(lambda v: H @ v, g, 1e6, rtol=1e-14, max_iters=1)
         assert status == "max_iters"
         assert np.linalg.norm(s) > 0
+        # the cap on the boundary path: the first step already crosses the
+        # sphere, and one iteration returns the boundary Cauchy point
+        radius = 0.01
+        cauchy = -radius * math.sqrt(3.0) + 0.5 * radius ** 2 * 111.0 / 3.0
+        for max_iters in (1, 2):
+            s, status = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-14,
+                                    max_iters=max_iters)
+            assert status == "max_iters"
+            assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+            if max_iters == 1:
+                assert model_value(H, g, s) == pytest.approx(cauchy, rel=1e-12)
+                assert model_value(H, g, s) == pytest.approx(-0.0154705, abs=1e-7)
+            else:
+                assert model_value(H, g, s) <= cauchy + 1e-15
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
