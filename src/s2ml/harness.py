@@ -68,15 +68,14 @@ class TraceRecord:
 class ExperimentSpec:
     """A full benchmark: one problem, one or more solvers, optional test set.
 
-    ``f_star`` is either a known optimum or ``"compute"``; repetition ``r``
-    runs each solver with seed ``rng_seed + r``.
+    Repetition ``r`` runs each solver with seed ``rng_seed + r``. The
+    reference optimum is always computed (see :func:`run_experiment`).
     """
 
     problem: ProblemConfig
     solvers: tuple[SolverConfig, ...]
     train_path: str | Path
     test_path: str | Path | None = None
-    f_star: float | str = "compute"
     repetitions: int = 1
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        if isinstance(self.f_star, str) and self.f_star != "compute":
-            raise ValueError('f_star must be a number or "compute"')
 
 
 def dataset_digest(data: Dataset) -> str:
@@ -105,14 +102,6 @@ def dataset_digest(data: Dataset) -> str:
 # well above floating-point noise in the acceptance-ratio test
 _FSTAR_SOLVER = SolverConfig(method="tron", max_iters=1000, grad_tol=1e-12,
                              cg_rtol=1e-3, cg_max_iters=250)
-
-
-def _fstar_key(problem):
-    data = getattr(problem, "data", None)
-    if not isinstance(data, Dataset):
-        return None
-    return (dataset_digest(data), problem.kind, float(problem.lam),
-            bool(problem.add_bias))
 
 
 class _Shifted:
@@ -178,15 +167,19 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
     the file is replaced atomically, so a reader never sees a partial one.
     A directory that takes no new file (read-only, say) draws a
     ``RuntimeWarning`` naming the path and its error, and the value is
-    returned uncached. A cached value above ``f(start)`` by more than
-    1e-12 of its magnitude cannot be the optimum, and draws a
-    ``RuntimeWarning`` that names the file; one that is not a finite number
-    raises ``ValueError`` naming the file. Raises
-    :class:`ConvergenceError` if the run does not converge.
+    returned uncached. ``cache_dir`` needs a :class:`Problem` built on a
+    :class:`Dataset`, whose digest keys the file. A cached value above
+    ``f(start)`` by more than 1e-12 of its magnitude cannot be the optimum,
+    and draws a ``RuntimeWarning`` that names the file; so does, when lam >
+    0 and there is no bias (f is then lam-strongly convex), one below the
+    bound ``f(start) - ||grad f(start)||^2 / (2 lam)`` by more than that.
+    A cached value that is not a finite number raises ``ValueError`` naming
+    the file. Raises :class:`ConvergenceError` if the run does not converge.
     """
-    key = _fstar_key(problem) if cache_dir is not None else None
     cache_path = None
-    if key is not None:
+    if cache_dir is not None:
+        key = (dataset_digest(problem.data), problem.kind, float(problem.lam),
+               bool(problem.add_bias))
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         cache_path = Path(cache_dir) / f"{digest}.fstar"
         if cache_path.exists():
@@ -206,6 +199,16 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
                         f"objective {f_start:.17g} of a solver iterate; the "
                         "cache is stale, delete it to recompute",
                         RuntimeWarning, stacklevel=2)
+                elif problem.lam > 0.0 and not problem.add_bias:
+                    # f is lam-strongly convex: f* >= f(w) - ||grad f(w)||^2 / (2 lam)
+                    g_start = float(np.linalg.norm(problem.gradient(start)))
+                    bound = f_start - g_start * g_start / (2.0 * problem.lam)
+                    if bound - value > 1e-12 * abs(value):
+                        warnings.warn(
+                            f"{cache_path}: cached f* {value:.17g} lies below "
+                            f"the lower bound {bound:.17g} that a solver "
+                            "iterate's gradient gives; the cache is stale, "
+                            "delete it to recompute", RuntimeWarning, stacklevel=2)
             return value
     value = float(problem.objective(_reference_point(problem, start, grad_norm0)))
     if cache_path is not None:
@@ -300,11 +303,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
             reps.append(records)
         results[name] = reps
 
-    if spec.f_star == "compute":
-        f_star = compute_f_star(problem, cache_dir=Path(spec.train_path).parent,
-                                start=best_w, grad_norm0=grad_norm0)
-    else:
-        f_star = float(spec.f_star)
+    f_star = compute_f_star(problem, cache_dir=Path(spec.train_path).parent,
+                            start=best_w, grad_norm0=grad_norm0)
     for reps in results.values():
         for records in reps:
             records[:] = [replace(r, optimality_gap=r.objective - f_star)
@@ -386,9 +386,11 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
 
     ``metric`` is ``"optimality_gap"`` (log-scale y, clamped below at 1e-16,
     ticks at decade marks) or ``"test_accuracy"`` (linear y). The x axis is
-    wall-clock seconds. One polyline per (solver, repetition); points whose
-    x or y is not finite (an infinite gap, say) are skipped. Output is a
-    pure function of the input traces.
+    wall-clock seconds; when every point sits at one instant (a run that
+    stops at iteration 0, say) the x range is widened around it. One
+    polyline per (solver, repetition); points whose x or y is not finite
+    (an infinite gap, say) are skipped. Output is a pure function of the
+    input traces.
     """
     if metric not in ("optimality_gap", "test_accuracy"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -405,8 +407,9 @@ def render_convergence_svg(traces: dict[str, list[list[TraceRecord]]],
         raise ValueError(f"no data for metric {metric!r}")
     xs = [x for _, pts in series for x, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        raise ValueError("degenerate x range: all wall-clock values are identical")
+    if x_hi == x_lo:  # a single instant: centre it in a window max(1, |x|) wide
+        pad = 0.5 * max(1.0, abs(x_lo))
+        x_lo, x_hi = x_lo - pad, x_hi + pad
 
     log_scale = metric == "optimality_gap"
     if log_scale:

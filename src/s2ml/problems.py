@@ -87,9 +87,10 @@ class ProblemConfig:
 class Problem:
     """Differentiable objective over a fixed dataset.
 
-    Subclasses define the pointwise loss through ``_loss``, ``_dmargin``
-    (derivative of the loss in the margin m = y * score) and ``_curvature``
-    (second derivative, or a generalized substitute at kinks).
+    Subclasses must define the pointwise loss through ``_loss``,
+    ``_dmargin`` (derivative of the loss in the margin m = y * score) and
+    ``_curvature`` (second derivative, or a generalized substitute at
+    kinks); this class has no stubs for them.
 
     All evaluation methods accept ``rows``: either ``None`` for the full
     dataset or a sorted array of distinct row indices.
@@ -119,17 +120,6 @@ class Problem:
     def dim(self) -> int:
         return self.data.n_cols + (1 if self.add_bias else 0)
 
-    # -- pointwise hooks -------------------------------------------------
-    def _loss(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _dmargin(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _curvature(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- shared machinery ------------------------------------------------
     def _eval(self, w, rows):
         """Check the rows, split off the bias and return ``(rows, y, wf, m)``:
         y and the memoized margins m = y * (X @ wf + bias) (see the module

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,7 @@ class SolverState:
     tr_radius: float
     rng: np.random.Generator
     batch_size: int
-    lbfgs_pairs: LbfgsMemory = field(
-        default_factory=lambda: LbfgsMemory(SolverConfig.lbfgs_memory))
+    lbfgs_pairs: LbfgsMemory
     iter: int = 0
     consecutive_rejects: int = 0
 
@@ -237,14 +236,10 @@ def _ball_min(T: np.ndarray, gnorm: float, radius: float):
     lo = max(0.0, -lam_min)
     eps = 1e-11 * scale
 
+    # every nu passed in is >= lo + eps, and eps >= 1e-11 * |lam_min|, so
+    # no entry of lam + nu is zero
     def hnorm(nu: float) -> float:
-        denom = lam + nu
-        out = np.zeros_like(c)
-        nz = denom != 0.0
-        out[nz] = c[nz] / denom[nz]
-        if np.any(~nz & (c != 0.0)):
-            return 1e300
-        n = _norm(out)
+        n = _norm(c / (lam + nu))
         return n if math.isfinite(n) else 1e300
 
     if hnorm(lo + eps) < radius:
@@ -297,6 +292,12 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     ``"neg_curvature"`` when indefiniteness was encountered). Hitting the
     iteration cap returns the current point with status ``"max_iters"``.
 
+    A direction whose curvature is zero, or at most 1e-12 of the largest
+    Rayleigh quotient d.H.d / d.d seen in this solve, is a breakdown: from
+    the interior the search follows it to the boundary (status
+    ``"neg_curvature"``); past the boundary it returns the subspace
+    solution it has. ``rtol`` must lie in [0, 1).
+
     The model value of the result never exceeds that of the optimal
     steepest-descent (Cauchy) step.
     """
@@ -304,6 +305,8 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     gnorm = _norm(g)
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
+    if not (0.0 <= rtol < 1.0):
+        raise ValueError("rtol must be in [0, 1)")
     if gnorm == 0.0:
         raise ValueError("gradient must be nonzero")
     max_iters = max(1, int(max_iters))
@@ -312,25 +315,26 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     r = g.copy()
     d = -g
     rr = gnorm * gnorm
+    dd = rr  # ||d||^2, by the recurrence ||d'||^2 = ||r'||^2 + beta^2 ||d||^2
     gamma = gnorm
     sigma = 1.0
     interior = True
+    curvature = 0.0  # the largest |d.H.d| / d.d so far
     alphas: list[float] = []
     betas: list[float] = []
     basis: list[np.ndarray] = []
-    h = None
-    h_neg = False
 
     for _ in range(max_iters):
         basis.append((sigma / gamma) * r)
         Hd = hv(d)
         kappa = float(d @ Hd)
-        if kappa == 0.0:
-            # exact breakdown: follow the flat direction to the boundary, or
-            # return the best subspace solution found so far
+        curvature = max(curvature, abs(kappa) / dd)
+        if abs(kappa) <= 1e-12 * curvature * dd:
+            # breakdown: a step rr / kappa would overflow or mean nothing
             if interior:
                 return _to_boundary(s, d, radius), "neg_curvature"
-            break
+            return (_combine(basis, h, radius),
+                    "neg_curvature" if h_neg else "boundary")
         alpha = rr / kappa
         if interior and (kappa <= 0.0 or _norm(s + alpha * d) >= radius):
             interior = False
@@ -339,6 +343,8 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
         alphas.append(alpha)
         r = r + alpha * Hd
         gamma_next = _norm(r)
+        # with rtol >= 0 a zero residual passes either test, so the
+        # recurrences below never divide by a zero gamma
         if interior:
             if gamma_next <= rtol * gnorm:
                 return s, "interior"
@@ -347,20 +353,15 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
             if gamma_next * abs(float(h[-1])) <= rtol * gnorm:
                 return (_combine(basis, h, radius),
                         "neg_curvature" if h_neg else "boundary")
-        if gamma_next == 0.0:
-            break
         beta = (gamma_next * gamma_next) / rr
         betas.append(beta)
         d = -r + beta * d
         rr = gamma_next * gamma_next
+        dd = rr + beta * beta * dd
         sigma = -math.copysign(1.0, alpha) * sigma
         gamma = gamma_next
 
-    if interior:
-        return s, "max_iters"
-    status = "max_iters" if len(alphas) == max_iters else (
-        "neg_curvature" if h_neg else "boundary")
-    return _combine(basis, h, radius), status
+    return (s if interior else _combine(basis, h, radius)), "max_iters"
 
 
 def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 import gzip
 import os
+import re
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -96,6 +98,19 @@ class TestModelFile:
         assert np.array_equal(back_w, [1.0, -2.0]) and back_cfg == config
         p.write_text(p.read_text().replace("svm-l2+", "svm-l22"))
         with pytest.raises(ModelFormatError, match="description"):
+            read_model(p)
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "missing model description line"),
+        (["kind=logistic lambda=abc bias=0 dim=0"], "bad lambda 'abc'"),
+        (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "half"],
+         "malformed coefficient line"),
+        (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "nan"], "non-finite coefficient"),
+    ], ids=["header-only", "lambda", "coefficient", "nan"])
+    def test_malformed_body_rejected(self, tmp_path, lines, message):
+        p = tmp_path / "m.txt"
+        p.write_text("\n".join([MODEL_MAGIC, *lines]) + "\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: {message}")):
             read_model(p)
 
     def test_unresolved_lambda_rejected(self, tmp_path):
@@ -244,6 +259,35 @@ class TestBenchmark:
         assert rc == 0
         assert (out_dir / "gap.svg").exists()
         assert not (out_dir / "accuracy.svg").exists()
+
+    @pytest.mark.parametrize("stop", [["--grad-tol", "1"], ["--max-iters", "0"]],
+                             ids=["grad-tol-1", "max-iters-0"])
+    def test_run_stopped_at_iteration_zero_plots(self, tmp_path, train, stop):
+        # one record per run, so every point of the plot sits at one instant
+        out_dir = tmp_path / "results"
+        rc = main(["benchmark", "--data", train, "--solver", "tron", *stop,
+                   "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert len(read_trace_csv(out_dir / "traces.csv")["tron"][0]) == 1
+        assert main(["plot", "--data", str(out_dir / "traces.csv"),
+                     "--out-dir", str(tmp_path / "plots")]) == 0
+        for svg in (out_dir / "gap.svg", tmp_path / "plots" / "gap.svg"):
+            text = svg.read_text()
+            assert "nan" not in text and "inf" not in text
+            root = ElementTree.fromstring(text)
+            assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == 1
+
+    def test_cached_f_star_below_the_optimum_warns(self, data_dir, train):
+        args = ["benchmark", "--data", train, "--solver", "tron", "--lambda", "0.01",
+                "--out-dir", str(data_dir / "results")]
+        assert main(args) == 0
+        [cache] = data_dir.glob("*.fstar")
+        cache.write_text("-5\n")
+        stale = re.escape(f"{cache}: cached f* -5 lies below")
+        with pytest.warns(RuntimeWarning, match=stale):
+            assert main(args) == 0
+        gaps = read_trace_csv(data_dir / "results" / "traces.csv")["tron"][0]
+        assert gaps[-1].optimality_gap > 5.0  # measured against the stale value
 
     def test_truncated_gzip_exits_2(self, tmp_path, train, capsys):
         cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
@@ -480,6 +524,27 @@ class TestConfigFile:
         assert rc == 1
         assert "does not apply" in capsys.readouterr().err
 
+    def test_line_without_equals_exits_1(self, tmp_path, train, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# comment\nsolver tron\n")
+        rc = main(["train", "--config", str(cfg), "--data", train])
+        assert rc == 1
+        assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, bias", [("yes", True), ("on", True), ("0", False),
+                                            ("off", False), ("maybe", None)])
+    def test_bias_value(self, tmp_path, train, capsys, text, bias):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"max-iters = 0\nbias = {text}\n")
+        out = tmp_path / "m.txt"
+        rc = main(["train", "--config", str(cfg), "--data", train, "--out", str(out)])
+        if bias is None:
+            assert rc == 1
+            assert f"{cfg}:2: expected a boolean, got 'maybe'" in capsys.readouterr().err
+            return
+        assert rc == 0
+        assert read_model(out)[1].add_bias is bias
+
     def test_bad_value_exits_1(self, tmp_path, train, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("lambda = abc\n")
@@ -511,6 +576,15 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bogus" in err if flag is None else flag in err
+
+
+@pytest.mark.filterwarnings("ignore:'s2ml.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(train, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["s2ml", "fstar", "--data", train])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("s2ml.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert np.isfinite(float(capsys.readouterr().out))
 
 
 BAD_FLAG_CASES = [

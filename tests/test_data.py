@@ -33,6 +33,10 @@ class TestParseLine:
     def test_comment_stripped(self):
         assert parse_libsvm_line("+1 1:2 # tail") == (1, [(1, 2.0)])
 
+    def test_comment_only_line_rejected(self):
+        with pytest.raises(LibsvmParseError, match="no content"):
+            parse_libsvm_line("# only a comment")
+
     def test_label_out_of_range(self):
         with pytest.raises(LibsvmParseError, match="outside"):
             parse_libsvm_line("3 1:1")
@@ -480,6 +484,18 @@ class TestFastPathPreconditions:
         assert _outcome(path, None) == expected
         assert taken[0] is not None
 
+    def test_long_token_declined(self, tmp_path, monkeypatch):
+        # a value token of _MAX_TOKEN + 1 = 33 bytes goes to the line parser
+        value = "0." + "1234567890" * 3 + "1"
+        assert len(value) == 33
+        path = tmp_path / "in.libsvm"
+        path.write_text(f"+1 1:0.5\n-1 2:{value}\n")
+        expected = _line_parser_outcome(monkeypatch, path, None)
+        taken = _spy_parse_fast(monkeypatch)
+        assert _outcome(path, None) == expected
+        assert taken == [None]
+        assert load_dataset(path).features.values[1] == float(value)
+
     @pytest.mark.parametrize("block_bytes", [None, 16])
     def test_only_zero_labels(self, tmp_path, monkeypatch, block_bytes):
         if block_bytes is not None:
@@ -528,6 +544,12 @@ class TestRowsInput:
         assert m.row_offsets.tolist() == offsets
         assert m.col_indices.tolist() == cols and m.col_indices.dtype == np.int32
         assert m.values.tolist() == vals and m.values.dtype == np.float64
+
+    def test_label_outside_binary_names_the_row(self):
+        # dataset_from_rows takes labels as given: a 2 is no label
+        with pytest.raises(LibsvmParseError, match="line 1: label 2 is outside") as info:
+            dataset_from_rows([(2, [])])
+        assert info.value.lineno == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, value):
@@ -611,3 +633,13 @@ class TestSparseMatrix:
         ds = _dataset(1, 1, [0, 0], [], [], labels=[2])
         with pytest.raises(ValueError, match="-1 or \\+1"):
             ds.validate()
+
+    def test_one_label_per_row(self):
+        ds = _dataset(1, 1, [0, 0], [], [], labels=[1, -1])
+        with pytest.raises(ValueError, match="one entry per row"):
+            ds.validate()
+
+    def test_not_equal_to_another_type(self):
+        ds = _dataset(1, 1, [0, 0], [], [])
+        assert ds == _dataset(1, 1, [0, 0], [], [])
+        assert ds != 5 and not ds == 5

@@ -3,7 +3,9 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from s2ml.solvers import SolverConfig, run_solver
 from s2ml.data import dataset_from_rows
 
 LN2 = 0.6931471805599453
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def write_split(tmp_path, name, dataset):
@@ -71,6 +74,21 @@ class TestComputeFStar:
         cache.write_text(text + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{cache}: cached f* {text!r}")):
             compute_f_star(problem, cache_dir=tmp_path)
+
+    def test_cache_below_the_strong_convexity_bound_warns(self, tmp_path):
+        # lam > 0 and no bias: f* >= f(w) - ||grad f(w)||^2 / (2 lam) at any w
+        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
+                               small_instance(2))
+        value = compute_f_star(problem, cache_dir=tmp_path)
+        [cache] = tmp_path.glob("*.fstar")
+        start = _solved(problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compute_f_star(problem, cache_dir=tmp_path, start=start) == value
+        cache.write_text(f"{value - 1e-3:.17g}\n")
+        with pytest.warns(RuntimeWarning,
+                          match=re.escape(f"{cache}: cached f* ") + ".* lies below"):
+            assert compute_f_star(problem, cache_dir=tmp_path, start=start) == value - 1e-3
 
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         # a crash between writing and renaming must not leave a partial cache
@@ -202,21 +220,6 @@ class TestRunExperiment:
                            train_path="x", repetitions=0)
         with pytest.raises(ValueError, match="at least one solver"):
             ExperimentSpec(problem=ProblemConfig(), solvers=[], train_path="x")
-        with pytest.raises(ValueError, match="f_star"):
-            ExperimentSpec(problem=ProblemConfig(), solvers=[SolverConfig()],
-                           train_path="x", f_star="guess")
-
-    def test_explicit_f_star_skips_reference_run(self, tmp_path):
-        data = small_instance(15)
-        train = write_split(tmp_path, "train.libsvm", data)
-        spec = ExperimentSpec(
-            problem=ProblemConfig(kind="logistic", lam=0.1),
-            solvers=[SolverConfig(method="tron", max_iters=0)],
-            train_path=train, f_star=0.25)
-        records = run_experiment(spec)["tron"][0]
-        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1), data)
-        assert records[0].optimality_gap == \
-            problem.objective(np.zeros(problem.dim)) - 0.25
 
 
 def sample_record(i, acc=None):
@@ -277,6 +280,18 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(p)
 
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: empty trace file")):
+            read_trace_csv(p)
+
+    def test_short_row_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{CSV_HEADER}\ntron,0,0,0.5,1.5,0.5,,1.0\n")
+        with pytest.raises(ValueError, match="expected 9 fields, got 8"):
+            read_trace_csv(p)
+
 
 class TestSvg:
     def traces_two_solvers(self):
@@ -314,10 +329,30 @@ class TestSvg:
         render_convergence_svg(self.traces_two_solvers(), "test_accuracy", p)
         assert p.read_text().count("<polyline") == 2
 
-    def test_degenerate_range_rejected(self, tmp_path):
-        traces = {"tron": [[sample_record(0), sample_record(0)]]}
-        with pytest.raises(ValueError, match="degenerate"):
-            render_convergence_svg(traces, "optimality_gap", tmp_path / "x.svg")
+    def test_degenerate_range_widened(self, tmp_path):
+        # every point at one instant (a run stopped at iteration 0, say):
+        # the x range is widened around it, with finite ticks in order
+        for wall in (0.0, 12.5, 1e17):
+            at = replace(sample_record(0), wall_time_s=wall)
+            traces = {"tron": [[at, replace(at, iter=1, optimality_gap=0.5)]]}
+            p = tmp_path / "x.svg"
+            render_convergence_svg(traces, "optimality_gap", p)
+            text = p.read_text()
+            assert "nan" not in text and "inf" not in text
+            root = ElementTree.fromstring(text)
+            [line] = root.iter(f"{SVG}polyline")
+            assert len(line.get("points").split()) == 2
+            ticks = [float(t.text) for t in root.iter(f"{SVG}text")
+                     if t.get("text-anchor") == "middle" and t.get("y") == "442"]
+            assert len(ticks) == 5 and ticks == sorted(ticks) and ticks[2] == wall
+
+    def test_all_gaps_at_the_floor_make_one_decade(self, tmp_path):
+        at_floor = [replace(sample_record(i), optimality_gap=gap)
+                    for i, gap in enumerate([1e-16, 1e-20, 0.0])]
+        p = tmp_path / "gap.svg"
+        render_convergence_svg({"tron": [at_floor]}, "optimality_gap", p)
+        labels = re.findall(r">(1e-?\d+)<", p.read_text())
+        assert labels == ["1e-16", "1e-15"]
 
     def test_gap_clamped_at_floor(self, tmp_path):
         low = TraceRecord(iter=1, wall_time_s=1.0, objective=0.0,

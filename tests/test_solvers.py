@@ -103,6 +103,66 @@ class TestSteihaug:
             steihaug_cg(lambda v: v, np.zeros(2), 1.0)
         with pytest.raises(ValueError):
             steihaug_cg(lambda v: v, np.ones(2), 0.0)
+        for rtol in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match="rtol"):
+                steihaug_cg(lambda v: v, np.ones(2), 1.0, rtol=rtol)
+
+    def test_exact_breakdown_past_the_boundary(self):
+        # every CG quantity is exact in binary: ||g|| = 5, alpha = 25/16
+        # crosses the sphere, ||r1|| = 3.75, beta = 0.5625 and the second
+        # direction (0, -4.6875, 0) has zero curvature
+        H = np.diag([1.0, 0.0, 0.0])
+        g = np.array([4.0, 3.0, 0.0])
+        s, status = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
+        assert status == "boundary"
+        assert np.allclose(s, [-0.8, -0.6, 0.0], rtol=0.0, atol=1e-15)
+        assert model_value(H, g, s) == pytest.approx(-4.68, rel=1e-15)
+
+    @staticmethod
+    def boundary_cauchy_value(H, g, radius):
+        """Model value of the best step along -g inside the ball."""
+        gHg = float(g @ (H @ g))
+        gnorm = float(np.linalg.norm(g))
+        tau = radius / gnorm if gHg <= 0 else min(radius / gnorm, gnorm * gnorm / gHg)
+        return model_value(H, g, -tau * g)
+
+    def test_curvature_at_roundoff_is_a_breakdown(self):
+        # in exact arithmetic the second direction (0, -2, 0) has zero
+        # curvature; the rounded ||r1||^2 leaves kappa near 5e-32, and a
+        # step rr / kappa of 4e31 used to overflow the recurrences
+        H = np.diag([1.0, 0.0, 0.0])
+        g = np.array([1.0, 1.0, 0.0])
+        s, status = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
+        assert status == "boundary"
+        assert np.all(np.isfinite(s))
+        assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-15)
+        cauchy = self.boundary_cauchy_value(H, g, 1.0)
+        assert model_value(H, g, s) <= cauchy + 1e-15
+
+    def test_singular_integer_hessians(self):
+        # H = A'A with A an integer k x d matrix, k < d: exact zero
+        # curvature directions that CG meets only up to roundoff
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            d = int(rng.integers(2, 7))
+            A = rng.integers(-3, 4, size=(int(rng.integers(1, d)), d)).astype(float)
+            H = A.T @ A
+            g = rng.integers(-3, 4, size=d).astype(float)
+            if not np.any(g):
+                continue
+            radius = float(rng.uniform(0.1, 2.0))
+            s, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=0.1)
+            assert np.all(np.isfinite(s))
+            assert np.linalg.norm(s) <= radius * (1 + 1e-12)
+            cauchy = self.boundary_cauchy_value(H, g, radius)
+            assert model_value(H, g, s) <= min(0.0, cauchy) + 1e-12 * max(1.0, abs(cauchy))
+
+    def test_ball_min_tiny_radius_doubles_the_bracket(self):
+        # radius / ||g|| = 1e-28: the first upper bracket still gives a step
+        # longer than the radius, so the bracket is doubled before the root find
+        h, boundary, neg = solvers._ball_min(np.array([[1.0]]), 1.0, 1e-28)
+        assert boundary and not neg
+        assert np.linalg.norm(h) == pytest.approx(1e-28, rel=1e-15)
 
     def test_extreme_radius_scales(self):
         H = np.diag([2.0, 0.5])
@@ -192,6 +252,29 @@ class TestTronStep:
         assert not snap.step_accepted
         assert state.tr_radius == 0.5 * radius_before
         assert (snap.tr_radius, snap.step_norm) == (state.tr_radius, 0.0)
+
+    def test_plateau_rejection_shrinks_to_the_step(self):
+        class Plateau(QuadraticProblem):
+            # a model decrease at roundoff, a higher trial objective and a
+            # gradient whose norm does not fall
+            def objective(self, w, rows=None):
+                return 2.0 if np.any(w) else 1.0
+
+            def gradient(self, w, rows=None):
+                seen.append(np.array(w))
+                return np.full(self.dim, 1e-20)
+
+        seen = []
+        problem = Plateau(np.eye(2))
+        config = SolverConfig(method="tron", tr_radius0=1.0)
+        state = make_state(problem, config, [0.0, 0.0])
+        g = state.grad
+        snap = tron_step(problem, state, config)
+        assert not snap.step_accepted
+        assert np.array_equal(state.w, [0.0, 0.0])
+        # the plateau test read the gradient at the trial point w + s = -g
+        assert np.array_equal(seen[-1], -g)
+        assert state.tr_radius == 0.5 * min(1.0, float(np.linalg.norm(g)))
 
     def test_model_denominator_breakdown_rejects_with_plain_halving(self):
         class Inconsistent(QuadraticProblem):
@@ -382,6 +465,22 @@ class TestLbfgs:
         assert float(np.linalg.norm(problem.gradient(w))) < 1e-10
         assert snaps[-1].iter <= 20
 
+    def test_memory_needs_a_slot(self):
+        with pytest.raises(ValueError, match="maxlen"):
+            LbfgsMemory(0)
+
+    def test_non_descent_direction_falls_back_to_steepest_descent(self):
+        problem = QuadraticProblem(np.eye(2), c=[-1.0, -1.0])
+        config = SolverConfig(method="lbfgs")
+        state = make_state(problem, config, [0.0, 0.0])
+        # a pair with s.y < 0 turns the two-loop direction uphill
+        state.lbfgs_pairs.append((np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
+        g = state.grad
+        assert float(lbfgs_direction(state.lbfgs_pairs, g) @ g) >= 0.0
+        snap = lbfgs_step(problem, state, config)
+        assert snap.step_accepted
+        assert np.array_equal(state.w, -g)
+
     def test_curvature_safeguard_discards_pairs(self):
         problem = QuadraticProblem(np.eye(2), c=[1.0, 0.0])
         config = SolverConfig(method="lbfgs")
@@ -437,6 +536,17 @@ class TestRunSolver:
         with pytest.warns(RuntimeWarning, match="callback"):
             w, term = run_solver(problem, SolverConfig(grad_tol=1e-8), boom)
         assert term == "stalled"
+
+    def test_callback_failure_at_iteration_zero(self):
+        problem = logistic_problem(9, 30, 4, lam=0.1)
+
+        def boom(snap):
+            raise RuntimeError("sink failed")
+
+        with pytest.warns(RuntimeWarning, match="callback"):
+            w, term = run_solver(problem, SolverConfig(), boom)
+        assert term == "stalled"
+        assert np.array_equal(w, np.zeros(problem.dim))
 
     def test_all_methods_agree_on_strictly_convex_instance(self):
         problem = logistic_problem(10, 120, 10, lam=0.05)
@@ -612,3 +722,6 @@ class TestBrentq:
         with pytest.raises(RuntimeError, match="2 iterations"):
             solvers._brentq(lambda x: x ** 3 - 2.0, 0.0, 10.0, maxiter=2)
         assert solvers._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    def test_root_at_the_right_end(self):
+        assert self._assert_matches([(lambda x: x - 1.0, 0.0, 1.0, {})]) == [(1.0).hex()]
