@@ -67,8 +67,8 @@ def read_model(path):
     if m is None:
         raise ModelFormatError(f"{path}: malformed description {lines[1]!r}")
     kind, lam_s, bias_s, dim_s = m.groups()
-    try:
-        lam = float(lam_s)
+    try:  # ProblemConfig rejects a lambda that is negative or not finite
+        config = ProblemConfig(kind=kind, lam=float(lam_s), add_bias=bias_s == "1")
     except ValueError:
         raise ModelFormatError(f"{path}: bad lambda {lam_s!r}") from None
     dim = int(dim_s)
@@ -83,7 +83,7 @@ def read_model(path):
         raise ModelFormatError(f"{path}: malformed coefficient line") from None
     if w.size and not np.all(np.isfinite(w)):
         raise ModelFormatError(f"{path}: non-finite coefficient")
-    return w, ProblemConfig(kind=kind, lam=lam, add_bias=bias_s == "1")
+    return w, config
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Datasets are parsed from the standard sparse text format (``label idx:val``
 with 1-based, ascending indices), validated, and stored immutably so that
 many solver runs can share one copy of the scipy CSR matrix
 (:class:`Features`). Input files may be plain text or gzip-compressed
-(detected by magic bytes). Files in plain form take a vectorized parse;
-any other file goes through the line parser, which gives the same arrays
-and is the only source of errors.
+(detected by magic bytes). Files in plain form take a vectorized parse,
+one block of lines at a time; any other file goes through the line parser.
+Both hand the same arrays to one join, which builds the matrix. The line
+parser is the only source of parse errors, and each names the file.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 
 _INDEX, _VALUE = itemgetter(0), itemgetter(1)
 _MAX_INDEX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class LibsvmParseError(ValueError):
@@ -108,28 +110,25 @@ class Dataset:
                 and np.array_equal(self.labels, other.labels))
 
 
-def _parse_label_token(tok: str, lineno: int | None) -> tuple[int, bool]:
+def _parse_label_token(tok: str, lineno: int | None) -> int:
     if ":" in tok:
         raise LibsvmParseError(f"first token {tok!r} is not a label", lineno)
     try:
         val = float(tok)
     except ValueError:
         raise LibsvmParseError(f"label {tok!r} is not numeric", lineno) from None
-    if val == 1.0:
-        return 1, False
-    if val == -1.0:
-        return -1, False
-    if val == 0.0:
-        return -1, True
+    if val in (1.0, -1.0, 0.0):
+        return int(val)
     raise LibsvmParseError(f"label {tok!r} is outside {{-1, +1, 0}}", lineno)
 
 
 def _parse_line(line: str, lineno: int | None):
+    """``(label as 1, -1 or 0, entries)`` of one line."""
     text = line.split("#", 1)[0].strip()
     if not text:
         raise LibsvmParseError("no content before comment/end of line", lineno)
     tokens = text.split()
-    label, was_zero = _parse_label_token(tokens[0], lineno)
+    label = _parse_label_token(tokens[0], lineno)
     entries = []
     for tok in tokens[1:]:
         idx_s, sep, val_s = tok.partition(":")
@@ -152,7 +151,7 @@ def _parse_line(line: str, lineno: int | None):
         if not math.isfinite(val):
             raise LibsvmParseError(f"feature value {val_s!r} is not finite", lineno)
         entries.append((idx, val))
-    return label, was_zero, entries
+    return label, entries
 
 
 def parse_libsvm_line(line: str, lineno: int | None = None):
@@ -164,60 +163,61 @@ def parse_libsvm_line(line: str, lineno: int | None = None):
     enforced at matrix assembly, not here). ``lineno``, when given, is
     attached to any :class:`LibsvmParseError`.
     """
-    label, _, entries = _parse_line(line, lineno)
-    return label, entries
+    label, entries = _parse_line(line, lineno)
+    return label or -1, entries
 
 
-def _build(labels, offsets, cols, vals, n_cols: int | None) -> Dataset:
-    """The validated Dataset over int64 labels and CSR arrays whose int64
-    column indices are still 1-based (shifted here, in place); scipy picks
-    the index dtype the matrix keeps."""
+def _join(blocks, n_cols: int | None) -> tuple[Dataset, bool]:
+    """The validated Dataset over consecutive blocks of rows, and whether a
+    label 0 (read as -1) was seen. ``blocks`` is four lists of per-block
+    arrays: labels as 1, -1 or 0, entries per row, 1-based column indices
+    and values; scipy picks the index dtype the matrix keeps."""
+    labels, counts, cols, vals = map(np.concatenate, blocks)
+    for arrays in blocks:  # the blocks' arrays are freed before validation
+        arrays.clear()
+    zero = labels == 0
+    labels[zero] = -1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     cols -= 1
-    seen = int(cols.max()) + 1 if cols.size else 0
-    width = max(n_cols or 0, seen)
+    width = max(n_cols or 0, int(cols.max()) + 1 if cols.size else 0)
     ds = Dataset(Features((vals, cols, offsets), shape=(labels.size, width)), labels)
     ds.validate()
-    return ds
+    return ds, bool(zero.any())
 
 
-def _assemble(rows, n_cols: int | None) -> Dataset:
-    """Build a validated Dataset from ``(lineno, label, entries)`` triples.
-
-    Each row's entries are sorted stably by index and checked for
-    duplicates as soon as it arrives, then appended to flat buffers, so a
-    caller may stream rows without holding them all as Python objects.
-    ``lineno`` labels any error raised for that row.
-    """
-    labels: list[int] = []
-    offsets = array("q", [0])
-    cols = array("q")  # 1-based until _build
-    vals = array("d")
+def _assemble(rows):
+    """The blocks :func:`_join` takes, as one block over ``(lineno, label,
+    entries)`` triples. Each row's entries are sorted stably by index and
+    checked for duplicates as soon as it arrives, then appended to flat
+    buffers, so a caller may stream rows without holding them all as Python
+    objects. ``lineno`` labels any error raised for that row."""
+    labels, counts, cols, vals = array("q"), array("q"), array("q"), array("d")
     for lineno, label, entries in rows:
-        if label not in (-1, 1):
-            raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", lineno)
         entries = sorted(entries, key=_INDEX)
         idx = list(map(_INDEX, entries))
         if len(set(idx)) < len(idx):
             dup = next(a for a, b in zip(idx, idx[1:]) if a == b)
             raise LibsvmParseError(f"duplicate feature index {int(dup)}", lineno)
         labels.append(label)
+        counts.append(len(idx))
         cols.extend(idx)
         vals.extend(map(_VALUE, entries))
-        offsets.append(len(cols))
-    return _build(np.asarray(labels, dtype=np.int64),
-                  np.frombuffer(offsets, dtype=np.int64),
-                  np.frombuffer(cols, dtype=np.int64),
-                  np.frombuffer(vals, dtype=np.float64), n_cols)
+    return tuple([np.asarray(a)] for a in (labels, counts, cols, vals))
 
 
 def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
     """Assemble a Dataset from ``(label, entries)`` pairs (as produced by
-    :func:`parse_libsvm_line`); indices must be integers and values real
-    numbers. Out-of-order indices are sorted; duplicate indices within a row
-    are an error, reported with the row's 1-based ordinal as its line
-    number."""
-    return _assemble(((ordinal, label, entries) for ordinal, (label, entries)
-                      in enumerate(rows, start=1)), n_cols)
+    :func:`parse_libsvm_line`); labels must be -1 or +1, indices integers
+    and values real numbers. Out-of-order indices are sorted; a label
+    outside {-1, +1} or duplicate indices within a row are an error,
+    reported with the row's 1-based ordinal as its line number."""
+    def checked():
+        for ordinal, (label, entries) in enumerate(rows, start=1):
+            if label not in (-1, 1):
+                raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", ordinal)
+            yield ordinal, int(label), entries
+
+    return _join(_assemble(checked()), n_cols)[0]
 
 
 def _read(path: Path) -> bytes:
@@ -234,21 +234,17 @@ def _parse_lines(data: bytes, n_cols: int | None) -> tuple[Dataset, bool]:
     """The line parser over a file's bytes: ``(dataset, whether a label 0
     was seen)``. It splits lines as a text-mode read would (universal
     newlines), skips comments and blank lines, sorts each row, and raises
-    LibsvmParseError with the 1-based line number on anything malformed."""
-    zero_seen = False
-
-    def rows():
-        nonlocal zero_seen
-        lines = data.decode("utf-8").splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            if not raw.split("#", 1)[0].strip():
-                continue
-            label, was_zero, entries = _parse_line(raw, lineno)
-            zero_seen = zero_seen or was_zero
-            yield lineno, label, entries
-
-    ds = _assemble(rows(), n_cols)
-    return ds, zero_seen
+    LibsvmParseError with the 1-based line number on anything malformed,
+    a byte that is not UTF-8 included."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # "x" stands in for the first bad byte
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise LibsvmParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", lineno) from None
+    rows = ((lineno, *_parse_line(raw, lineno))
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if raw.split("#", 1)[0].strip())
+    return _join(_assemble(rows), n_cols)
 
 
 # The vectorized parse takes only bytes the line parser reads the same way:
@@ -263,12 +259,11 @@ _MAX_DIGITS = 15        # longer indices fall back; 15 digits cannot overflow in
 
 
 def _blocks(data: bytes):
-    """``(start, end)`` spans of about ``_BLOCK_BYTES`` that end at line ends."""
+    """``(start, end)`` spans cut at line ends, all but the last of at least
+    ``_BLOCK_BYTES``."""
     start = 0
     while start < len(data):
-        end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
-        if end <= start:  # no line end in the span: take the whole line
-            end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        end = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
         yield start, end
         start = end
 
@@ -296,8 +291,8 @@ def _floats(chars: np.ndarray):
 
 def _indices(chars: np.ndarray, lengths: np.ndarray):
     """The values of zero-padded tokens of 1 to ``_MAX_DIGITS`` ASCII digits
-    (leading zeros allowed, as ``int()`` allows them); None for any other
-    token."""
+    (leading zeros allowed, as ``int()`` allows them), as int32 when they
+    all fit; None for any other token."""
     width = chars.shape[1]
     if width > _MAX_DIGITS:
         return None
@@ -308,7 +303,10 @@ def _indices(chars: np.ndarray, lengths: np.ndarray):
     digits *= inside
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     # Horner over the left-aligned digits, then drop the padding's powers
-    return (digits.astype(np.int64) @ powers) // powers[lengths - 1]
+    idx = (digits.astype(np.int64) @ powers) // powers[lengths - 1]
+    # int32 when every index fits halves the blocks and their join; scipy
+    # then keeps the dtype, or widens it for a shape beyond int32
+    return idx.astype(np.int32) if idx.max(initial=0) <= _INT32_MAX else idx
 
 
 def _labels(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -390,24 +388,17 @@ def _parse_fast(held: list[bytes], n_cols: int | None) -> tuple[Dataset, bool] |
 
     One pass over the whole file first rejects any byte outside
     ``_ALLOWED_BYTES``; that check is what lets each block find its
-    separators as the bytes ``<= 0x20``. Blocks cut at line ends keep the
-    scratch memory bounded; the outputs are allocated once, sized by the
-    newline and colon counts, which are exact when every block parses. On
-    success it empties ``held``, so the bytes are freed before validation
-    allocates its own scratch; on None they are left for the line parser.
+    separators as the bytes ``<= 0x20``. Blocks cut at line ends are parsed
+    one at a time, which keeps the scratch memory bounded, and joined once
+    by :func:`_join`. On success it empties ``held`` before the join, so the
+    bytes are freed before the joined arrays and validation's scratch are
+    allocated; on None they are left for the line parser.
     """
     data = held[0]
     if not data or data.translate(None, _ALLOWED_BYTES):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    n_rows = int(np.count_nonzero(buf == _NEWLINE)) + (not data.endswith(b"\n"))
-    nnz = int(np.count_nonzero(buf == _COLON))
-    labels = np.empty(n_rows, dtype=np.int64)
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    zero_seen = False
-    row = entry = 0
+    blocks = ([], [], [], [])
     for start, end in _blocks(data):
         m = end - start
         b = np.zeros(m + 1 + _MAX_TOKEN, dtype=np.uint8)
@@ -418,17 +409,11 @@ def _parse_fast(held: list[bytes], n_cols: int | None) -> tuple[Dataset, bool] |
         parsed = _parse_block(b, m)
         if parsed is None:
             return None
-        lab, counts, idx, val = parsed
-        labels[row:row + lab.size] = np.where(lab == 1, 1, -1)
-        offsets[row + 1:row + 1 + lab.size] = entry + np.cumsum(counts)
-        cols[entry:entry + idx.size] = idx
-        vals[entry:entry + idx.size] = val
-        zero_seen = zero_seen or bool(np.any(lab == 0))
-        row += lab.size
-        entry += idx.size
+        for arrays, a in zip(blocks, parsed):
+            arrays.append(a)
     held.clear()
     del data, buf
-    return _build(labels, offsets, cols, vals, n_cols), zero_seen
+    return _join(blocks, n_cols)
 
 
 def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
@@ -442,18 +427,24 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
         Lower bound on the number of feature columns; the result has
         ``n_cols = max(n_cols_hint, largest index seen)``.
 
-    Label "0" is accepted and mapped to -1 (one warning per file). Errors
-    carry the offending 1-based line number; a truncated or corrupt gzip
-    file raises ``gzip.BadGzipFile`` naming the path. The file is read
-    once; a file in plain form takes the vectorized parse of those bytes
-    and any other the line parser; both give the same Dataset.
+    Label "0" is accepted and mapped to -1 (one warning per file). A
+    malformed file raises :class:`LibsvmParseError`, a byte that is not
+    UTF-8 included, whose message starts with the path and then the
+    offending 1-based line number; a truncated or corrupt gzip file raises
+    ``gzip.BadGzipFile`` naming the path. The file is read once; a file in
+    plain form takes the vectorized parse of those bytes and any other the
+    line parser; both give the same Dataset.
     """
     path = Path(path)
     try:
         held = [_read(path)]  # read once, for either parser
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut short or corrupt
         raise gzip.BadGzipFile(f"{path}: {exc}") from exc
-    ds, zero_seen = _parse_fast(held, n_cols_hint) or _parse_lines(held[0], n_cols_hint)
+    try:
+        ds, zero_seen = _parse_fast(held, n_cols_hint) or _parse_lines(held[0], n_cols_hint)
+    except ValueError as exc:  # the error keeps its type and line number
+        exc.args = (f"{path}: {exc}",)
+        raise
     if zero_seen:
         warnings.warn(f"{path}: label '0' mapped to -1", stacklevel=2)
     return ds

@@ -183,7 +183,8 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         cache_path = Path(cache_dir) / f"{digest}.fstar"
         if cache_path.exists():
-            text = cache_path.read_text().strip()
+            # bytes that are not UTF-8 become lone surrogates, which float() rejects
+            text = cache_path.read_text(encoding="utf-8", errors="surrogateescape").strip()
             try:
                 value = float(text)
             except ValueError:

@@ -39,6 +39,7 @@ pointwise hooks and registering the class in ``PROBLEM_KINDS``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class ProblemConfig:
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}; "
                              f"expected one of {sorted(PROBLEM_KINDS)}")
-        if self.lam is not None and not (float(self.lam) >= 0.0):
-            raise ValueError("lam must be >= 0")
+        if self.lam is not None and not (0.0 <= float(self.lam) < math.inf):
+            raise ValueError("lam must be finite and >= 0")
         if self.kind == "logistic":
             # load expit's module with the config, so that its one-off import
             # (about 0.1 s) never lands in a solver's timed run

@@ -75,20 +75,20 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not (self.grad_tol > 0):
-            raise ValueError("grad_tol must be > 0")
+        if not (0.0 < self.grad_tol < math.inf):
+            raise ValueError("grad_tol must be finite and > 0")
         if self.cg_max_iters < 1:
             raise ValueError("cg_max_iters must be >= 1")
         if not (0.0 < self.cg_rtol < 1.0):
             raise ValueError("cg_rtol must be in (0, 1)")
-        if not (self.tr_radius0 > 0):
-            raise ValueError("tr_radius0 must be > 0")
+        if not (0.0 < self.tr_radius0 < math.inf):
+            raise ValueError("tr_radius0 must be finite and > 0")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
         if not (0.0 < self.batch0_frac <= 1.0):
             raise ValueError("batch0_frac must be in (0, 1]")
-        if not (self.batch_growth >= 1.0):
-            raise ValueError("batch_growth must be >= 1")
+        if not (1.0 <= self.batch_growth < math.inf):
+            raise ValueError("batch_growth must be finite and >= 1")
 
 
 @dataclass

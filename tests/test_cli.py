@@ -103,10 +103,13 @@ class TestModelFile:
     @pytest.mark.parametrize("lines, message", [
         ([], "missing model description line"),
         (["kind=logistic lambda=abc bias=0 dim=0"], "bad lambda 'abc'"),
+        (["kind=logistic lambda=-1 bias=0 dim=0"], "bad lambda '-1'"),
+        (["kind=logistic lambda=inf bias=0 dim=0"], "bad lambda 'inf'"),
         (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "half"],
          "malformed coefficient line"),
         (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "nan"], "non-finite coefficient"),
-    ], ids=["header-only", "lambda", "coefficient", "nan"])
+    ], ids=["header-only", "lambda", "negative-lambda", "infinite-lambda", "coefficient",
+            "nan"])
     def test_malformed_body_rejected(self, tmp_path, lines, message):
         p = tmp_path / "m.txt"
         p.write_text("\n".join([MODEL_MAGIC, *lines]) + "\n")
@@ -295,6 +298,18 @@ class TestBenchmark:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"s2ml: error: {cut}: ")
 
+    @pytest.mark.parametrize("text, message", [
+        (b"+1 1:1\n-1 2:x\n", "line 2: feature value 'x' is not numeric"),
+        (b"+1 1:1\r\n-1 2:\xff\n", "line 2: byte 0xff is not UTF-8"),
+    ], ids=["malformed", "not-utf8"])
+    def test_bad_test_data_names_the_file(self, tmp_path, train, capsys, text, message):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(text)
+        rc = main(["benchmark", "--data", train, "--test-data", str(bad),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"s2ml: error: {bad}: {message}\n"
+
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"
         rc = main(["benchmark", "--data", train, "--solver", "stron",
@@ -402,13 +417,14 @@ class TestFstarAndPlot:
         assert np.isfinite(printed)
         assert list(data_dir.glob("*.fstar"))
 
-    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf"])
+    # "\udcff\udcfe1" is written as the bytes ff fe 31 (not UTF-8)
+    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf", "\udcff\udcfe1"])
     def test_fstar_rejects_a_cache_that_is_no_finite_number(self, tmp_path, data_dir,
                                                             train, capsys, text):
         assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 0
         capsys.readouterr()
         [cache] = data_dir.glob("*.fstar")
-        cache.write_text(text + "\n")
+        cache.write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
         assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -602,6 +618,8 @@ BAD_FLAG_CASES = [
     (["--batch-growth", "0.5"], "--batch-growth"),
     (["--reps", "0"], "--reps"),
     (["--frobnicate"], "--frobnicate"),
+    (["--lambda", "inf"], "--lambda"),
+    (["--batch-growth", "inf"], "--batch-growth"),
 ]
 
 

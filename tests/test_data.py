@@ -152,7 +152,7 @@ def _outcome(path, n_cols_hint):
         warnings.simplefilter("always")
         try:
             ds = load_dataset(path, n_cols_hint)
-        except ValueError as exc:  # LibsvmParseError and UnicodeDecodeError too
+        except ValueError as exc:  # LibsvmParseError, a bad UTF-8 byte included
             result = (type(exc), str(exc), getattr(exc, "lineno", None))
         else:
             m = ds.features
@@ -251,9 +251,9 @@ class TestFastPath:
         monkeypatch.setattr(s2ml.data, "_parse_line", line_parser)
         assert [_outcome(path, hint) for hint in (None, 60)] == expected
 
-    @pytest.mark.parametrize("block_bytes", [None, 24])
+    @pytest.mark.parametrize("block_bytes", [None, 24, 1])
     def test_differential_fuzz(self, tmp_path, monkeypatch, block_bytes):
-        if block_bytes is not None:  # many blocks, and lines longer than one
+        if block_bytes is not None:  # many blocks, lines longer than one; 1: a line each
             monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
         parse_fast = s2ml.data._parse_fast
         taken = []
@@ -285,16 +285,21 @@ class TestFastPath:
 def _text_mode_outcome(monkeypatch, tmp_path, path, n_cols_hint):
     """The line parser's outcome on a text-mode (universal newlines) read of
     the file, rewritten as plain UTF-8: the reference for the line split of
-    the bytes the loader reads once. Warnings name ``path``."""
+    the bytes the loader reads once. A byte that is not UTF-8 is an error on
+    the line that holds it. Errors and warnings name ``path``."""
     opener = gzip.open if path.read_bytes()[:2] == b"\x1f\x8b" else open
-    try:
-        with opener(path, "rt", encoding="utf-8") as fh:
-            text = fh.read()
-    except ValueError as exc:  # UnicodeDecodeError
-        return (type(exc), str(exc), None), []
+    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        bad = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+        if bad:
+            return (LibsvmParseError,
+                    f"{path}: line {lineno}: byte 0x{bad[0]:02x} is not UTF-8", lineno), []
     ref = tmp_path / "text-mode.libsvm"
     ref.write_bytes(text.encode("utf-8"))
     result, caught = _line_parser_outcome(monkeypatch, ref, n_cols_hint)
+    if isinstance(result[1], str):  # an error
+        result = (result[0], result[1].replace(str(ref), str(path)), result[2])
     return result, [(c, m.replace(str(ref), str(path))) for c, m in caught]
 
 
@@ -470,7 +475,7 @@ class TestFastPathPreconditions:
         assert [_outcome(path, hint) for hint in (None, 12)] == expected
         assert taken == [None, None]
 
-    @pytest.mark.parametrize("block_bytes", [None, 16])
+    @pytest.mark.parametrize("block_bytes", [None, 16, 1])
     @pytest.mark.parametrize("other", [None, "+0", "-0", "1.0", "01", "+01", "1e0"])
     def test_canonical_labels_mixed_with(self, tmp_path, monkeypatch, other, block_bytes):
         if block_bytes is not None:  # the other form in a block of its own
@@ -496,7 +501,7 @@ class TestFastPathPreconditions:
         assert taken == [None]
         assert load_dataset(path).features.values[1] == float(value)
 
-    @pytest.mark.parametrize("block_bytes", [None, 16])
+    @pytest.mark.parametrize("block_bytes", [None, 16, 1])
     def test_only_zero_labels(self, tmp_path, monkeypatch, block_bytes):
         if block_bytes is not None:
             monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
@@ -546,10 +551,12 @@ class TestRowsInput:
         assert m.values.tolist() == vals and m.values.dtype == np.float64
 
     def test_label_outside_binary_names_the_row(self):
-        # dataset_from_rows takes labels as given: a 2 is no label
-        with pytest.raises(LibsvmParseError, match="line 1: label 2 is outside") as info:
-            dataset_from_rows([(2, [])])
-        assert info.value.lineno == 1
+        # dataset_from_rows takes labels as given: a 2 is no label, nor is a 0
+        for label in (2, 0):
+            with pytest.raises(LibsvmParseError,
+                               match=f"line 1: label {label} is outside") as info:
+                dataset_from_rows([(label, [])])
+            assert info.value.lineno == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, value):

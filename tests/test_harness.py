@@ -65,13 +65,14 @@ class TestComputeFStar:
         files[0].write_text("1.5\n")
         assert compute_f_star(problem, cache_dir=tmp_path) == 1.5
 
-    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf"])
+    # "\udcff\udcfe1" is written as the bytes ff fe 31 (not UTF-8)
+    @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf", "\udcff\udcfe1"])
     def test_cache_that_is_no_finite_number_rejected(self, tmp_path, text):
         problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
                                small_instance(2))
         compute_f_star(problem, cache_dir=tmp_path)
         [cache] = tmp_path.glob("*.fstar")
-        cache.write_text(text + "\n")
+        cache.write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=re.escape(f"{cache}: cached f* {text!r}")):
             compute_f_star(problem, cache_dir=tmp_path)
 

@@ -51,6 +51,9 @@ class TestConfigValidation:
         {"batch_growth": 0.5},
         {"lbfgs_memory": 0},
         {"max_iters": -1},
+        {"grad_tol": math.inf},
+        {"tr_radius0": math.inf},
+        {"batch_growth": math.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
