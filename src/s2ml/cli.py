@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LibsvmParseError, load_dataset
+from .data import LibsvmParseError, decode_utf8, load_dataset
 from .harness import (ConvergenceError, ExperimentSpec, compute_f_star,
                       read_trace_csv, render_convergence_svg, run_experiment,
                       write_trace_csv)
@@ -57,7 +57,8 @@ def write_model(path, w, config: ProblemConfig) -> None:
 
 def read_model(path):
     """Load a model file; any deviation from the format is rejected."""
-    lines = Path(path).read_text().splitlines()
+    lines = decode_utf8(Path(path).read_bytes(), lambda message, lineno:
+                        ModelFormatError(f"{path}: line {lineno}: {message}")).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: expected header {MODEL_MAGIC!r}")
     if len(lines) < 2:
@@ -202,7 +203,8 @@ def _apply_config_file(args, parser) -> None:
     if getattr(args, "config", None) is None:
         return
     flags = {name: _long_flags(p) for name, p in parser.commands.items()}
-    text = Path(args.config).read_text()
+    text = decode_utf8(Path(args.config).read_bytes(), lambda message, lineno:
+                       _UsageError(f"{args.config}:{lineno}: {message}"))
     from_file: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

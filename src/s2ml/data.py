@@ -4,10 +4,11 @@ Datasets are parsed from the standard sparse text format (``label idx:val``
 with 1-based, ascending indices), validated, and stored immutably so that
 many solver runs can share one copy of the scipy CSR matrix
 (:class:`Features`). Input files may be plain text or gzip-compressed
-(detected by magic bytes). Files in plain form take a vectorized parse,
-one block of lines at a time; any other file goes through the line parser.
-Both hand the same arrays to one join, which builds the matrix. The line
-parser is the only source of parse errors, and each names the file.
+(detected by magic bytes). A file is parsed one block of lines at a time:
+a block in plain form, with LF or CRLF line ends, takes a vectorized parse,
+and a block in any other form is line-parsed alone. Both hand the same
+arrays to one join, which builds the matrix. The line parser is the only
+source of parse errors, and each names the file.
 """
 
 from __future__ import annotations
@@ -167,14 +168,13 @@ def parse_libsvm_line(line: str, lineno: int | None = None):
     return label or -1, entries
 
 
-def _join(blocks, n_cols: int | None) -> tuple[Dataset, bool]:
+def _join(blocks: list, n_cols: int | None) -> tuple[Dataset, bool]:
     """The validated Dataset over consecutive blocks of rows, and whether a
-    label 0 (read as -1) was seen. ``blocks`` is four lists of per-block
-    arrays: labels as 1, -1 or 0, entries per row, 1-based column indices
-    and values; scipy picks the index dtype the matrix keeps."""
-    labels, counts, cols, vals = map(np.concatenate, blocks)
-    for arrays in blocks:  # the blocks' arrays are freed before validation
-        arrays.clear()
+    label 0 (read as -1) was seen. Each block is four arrays: labels as 1,
+    -1 or 0, entries per row, 1-based column indices and values; scipy
+    picks the index dtype the matrix keeps."""
+    labels, counts, cols, vals = map(np.concatenate, zip(*blocks))
+    blocks.clear()  # the blocks' arrays are freed before validation
     zero = labels == 0
     labels[zero] = -1
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -186,11 +186,11 @@ def _join(blocks, n_cols: int | None) -> tuple[Dataset, bool]:
 
 
 def _assemble(rows):
-    """The blocks :func:`_join` takes, as one block over ``(lineno, label,
-    entries)`` triples. Each row's entries are sorted stably by index and
-    checked for duplicates as soon as it arrives, then appended to flat
-    buffers, so a caller may stream rows without holding them all as Python
-    objects. ``lineno`` labels any error raised for that row."""
+    """The block :func:`_join` takes over ``(lineno, label, entries)``
+    triples. Each row's entries are sorted stably by index and checked for
+    duplicates as soon as it arrives, then appended to flat buffers, so a
+    caller may stream rows without holding them all as Python objects.
+    ``lineno`` labels any error raised for that row."""
     labels, counts, cols, vals = array("q"), array("q"), array("q"), array("d")
     for lineno, label, entries in rows:
         entries = sorted(entries, key=_INDEX)
@@ -202,7 +202,7 @@ def _assemble(rows):
         counts.append(len(idx))
         cols.extend(idx)
         vals.extend(map(_VALUE, entries))
-    return tuple([np.asarray(a)] for a in (labels, counts, cols, vals))
+    return tuple(map(np.asarray, (labels, counts, cols, vals)))
 
 
 def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
@@ -217,7 +217,7 @@ def dataset_from_rows(rows, n_cols: int | None = None) -> Dataset:
                 raise LibsvmParseError(f"label {label!r} is outside {{-1, +1}}", ordinal)
             yield ordinal, int(label), entries
 
-    return _join(_assemble(checked()), n_cols)[0]
+    return _join([_assemble(checked())], n_cols)[0]
 
 
 def _read(path: Path) -> bytes:
@@ -230,28 +230,22 @@ def _read(path: Path) -> bytes:
         return gzip.decompress(fh.read()) if gzipped else fh.read()
 
 
-def _parse_lines(data: bytes, n_cols: int | None) -> tuple[Dataset, bool]:
-    """The line parser over a file's bytes: ``(dataset, whether a label 0
-    was seen)``. It splits lines as a text-mode read would (universal
-    newlines), skips comments and blank lines, sorts each row, and raises
-    LibsvmParseError with the 1-based line number on anything malformed,
-    a byte that is not UTF-8 included."""
+def decode_utf8(data: bytes, error=LibsvmParseError, first: int = 1) -> str:
+    """``data`` decoded as UTF-8. A byte that is not UTF-8 raises
+    ``error(message, lineno)``, where ``lineno`` is the line that holds it
+    as ``splitlines()`` numbers the lines of ``data`` from ``first``."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # "x" stands in for the first bad byte
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise LibsvmParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", lineno) from None
-    rows = ((lineno, *_parse_line(raw, lineno))
-            for lineno, raw in enumerate(text.splitlines(), start=1)
-            if raw.split("#", 1)[0].strip())
-    return _join(_assemble(rows), n_cols)
+        lineno = first - 1 + len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"byte 0x{data[exc.start]:02x} is not UTF-8", lineno) from None
 
 
 # The vectorized parse takes only bytes the line parser reads the same way:
-# spaces, "\n" and token bytes (printable ASCII other than "#"). So the only
-# bytes it sees below "!" are the two separators.
-_ALLOWED_BYTES = b" \n" + bytes(range(0x21, 0x7F)).replace(b"#", b"")
-_SPACE, _NEWLINE, _COLON = (np.uint8(ord(c)) for c in " \n:")
+# spaces, line ends and token bytes (printable ASCII other than "#"). So the
+# only bytes it sees below "!" are the separators " ", "\r" and "\n".
+_ALLOWED_BYTES = b" \r\n" + bytes(range(0x21, 0x7F)).replace(b"#", b"")
+_SPACE, _CR, _NEWLINE, _COLON = (np.uint8(ord(c)) for c in " \r\n:")
 _ZERO, _ONE, _PLUS, _MINUS = (np.uint8(ord(c)) for c in "01+-")
 _BLOCK_BYTES = 1 << 18  # bounds the parse's scratch arrays to a few MB
 _MAX_TOKEN = 32         # longer tokens (serialize_dataset writes none) fall back
@@ -259,25 +253,29 @@ _MAX_DIGITS = 15        # longer indices fall back; 15 digits cannot overflow in
 
 
 def _blocks(data: bytes):
-    """``(start, end)`` spans cut at line ends, all but the last of at least
-    ``_BLOCK_BYTES``."""
+    """``data`` in blocks cut just after a "\\n", all but the last of at
+    least ``_BLOCK_BYTES``; one empty block when ``data`` is empty."""
     start = 0
-    while start < len(data):
+    while True:
         end = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
-        yield start, end
+        yield data[start:end]
+        if end == len(data):
+            return
         start = end
 
 
 def _token_chars(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """The tokens at ``starts`` as rows of a zero-padded uint8 array, or None
-    when one is longer than ``_MAX_TOKEN``. ``b`` must extend
-    ``_MAX_TOKEN`` bytes past the last token."""
+    """``(chars, inside)``: the tokens at ``starts`` as rows of a zero-padded
+    uint8 array and the mask of their bytes in it, or None when one is
+    longer than ``_MAX_TOKEN``. ``b`` must extend ``_MAX_TOKEN`` bytes past
+    the last token."""
     width = int(lengths.max(initial=1))
     if width > _MAX_TOKEN:
         return None
+    inside = np.arange(width) < lengths[:, None]
     chars = sliding_window_view(b, width)[starts]
-    chars *= np.arange(width) < lengths[:, None]
-    return chars
+    chars *= inside
+    return chars, inside
 
 
 def _floats(chars: np.ndarray):
@@ -289,15 +287,14 @@ def _floats(chars: np.ndarray):
         return None
 
 
-def _indices(chars: np.ndarray, lengths: np.ndarray):
+def _indices(chars: np.ndarray, inside: np.ndarray, lengths: np.ndarray):
     """The values of zero-padded tokens of 1 to ``_MAX_DIGITS`` ASCII digits
     (leading zeros allowed, as ``int()`` allows them), as int32 when they
-    all fit; None for any other token."""
+    all fit; None for any other token. ``inside`` masks the tokens' bytes."""
     width = chars.shape[1]
     if width > _MAX_DIGITS:
         return None
     digits = chars - _ZERO  # non-digits, padding included, wrap to >= 10
-    inside = np.arange(width) < lengths[:, None]
     if np.any(inside & (digits > 9)):
         return None
     digits *= inside
@@ -321,24 +318,32 @@ def _labels(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
                          & ((first == _PLUS) | (first == _MINUS)))
     if canonical.all():
         return np.where(first == _MINUS, -1, np.where(first == _ZERO, 0, 1))
-    chars = _token_chars(b, starts, lengths)
-    labels = None if chars is None else _floats(chars)
+    tokens = _token_chars(b, starts, lengths)
+    labels = None if tokens is None else _floats(tokens[0])
     if labels is None or not np.all((labels == 1) | (labels == -1) | (labels == 0)):
         return None
     return labels
 
 
-def _parse_block(b: np.ndarray, m: int):
-    """Parse ``b[:m]``, whole lines the last of which ends in "\\n";
-    ``b`` holds ``_MAX_TOKEN`` more bytes of padding. The bytes of ``b[:m]``
-    must all be in ``_ALLOWED_BYTES`` (``_parse_fast`` checks the file once),
-    so the bytes ``<= 0x20`` are exactly the separators " " and "\\n".
-
-    Returns ``(labels as 1, -1 or 0, entries per row, 1-based indices,
-    values)`` as the line parser would read them, or None for anything else.
+def _parse_block(chunk: bytes):
+    """The vectorized parse of a block of whole lines, the last of which
+    may lack its "\\n": ``(labels as 1, -1 or 0, entries per row, 1-based
+    indices, values)`` as the line parser would read them, one row per
+    line. It raises no parse error, and returns None for any block it does
+    not take: comments, blank lines, tabs, a "\\r" with no "\\n" after it
+    but at the end, non-ASCII bytes, unsorted or duplicate indices, index
+    forms other than plain digits, and every token the line parser rejects.
     """
-    t = b[:m]
-    sep = t <= _SPACE
+    if not chunk or chunk.translate(None, _ALLOWED_BYTES):
+        return None
+    if not chunk.endswith(b"\n"):  # the file's unterminated last line
+        chunk += b"\n"
+    b = np.frombuffer(chunk + bytes(_MAX_TOKEN), dtype=np.uint8)
+    t = b[:len(chunk)]
+    # the line parser breaks lines at a lone "\r" too
+    if b"\r" in chunk and np.any((t[:-1] == _CR) & (t[1:] != _NEWLINE)):
+        return None
+    sep = t <= _SPACE  # " ", "\r" and "\n": no other allowed byte is below "!"
     line_starts = np.concatenate(([0], np.flatnonzero(t == _NEWLINE)[:-1] + 1))
     # each line starts with its label: no leading space, no blank line
     if sep[line_starts].any():
@@ -359,16 +364,16 @@ def _parse_block(b: np.ndarray, m: int):
     if colons.size != es.size or np.any(colons <= es) or np.any(colons >= ee - 1):
         return None
 
-    chars = _token_chars(b, es, colons - es)
-    idx = None if chars is None else _indices(chars, colons - es)
+    tokens = _token_chars(b, es, colons - es)
+    idx = None if tokens is None else _indices(*tokens, colons - es)
     if idx is None or np.any(idx < 1):
         return None
     # within a row the indices strictly increase (the line parser sorts them)
     row_start = ~is_entry[entry_tok - 1]
     if not np.all((idx[1:] > idx[:-1]) | row_start[1:]):
         return None
-    chars = _token_chars(b, colons + 1, ee - colons - 1)
-    vals = None if chars is None else _floats(chars)
+    tokens = _token_chars(b, colons + 1, ee - colons - 1)
+    vals = None if tokens is None else _floats(tokens[0])
     if vals is None or not np.all(np.isfinite(vals)):
         return None
     labels = _labels(b, starts[label_tok], ends[label_tok] - starts[label_tok])
@@ -378,42 +383,32 @@ def _parse_block(b: np.ndarray, m: int):
     return labels, counts, idx, vals
 
 
-def _parse_fast(held: list[bytes], n_cols: int | None) -> tuple[Dataset, bool] | None:
-    """Vectorized parse of the file bytes in the one-item list ``held``:
-    ``(dataset, whether a label 0 was seen)``, with the arrays the line
-    parser would build, or None for any input it does not take: comments,
-    blank lines, tabs or carriage returns, non-ASCII bytes, unsorted or
-    duplicate indices, index forms other than plain digits, and every token
-    the line parser rejects. It raises no parse error.
-
-    One pass over the whole file first rejects any byte outside
-    ``_ALLOWED_BYTES``; that check is what lets each block find its
-    separators as the bytes ``<= 0x20``. Blocks cut at line ends are parsed
-    one at a time, which keeps the scratch memory bounded, and joined once
-    by :func:`_join`. On success it empties ``held`` before the join, so the
-    bytes are freed before the joined arrays and validation's scratch are
-    allocated; on None they are left for the line parser.
-    """
-    data = held[0]
-    if not data or data.translate(None, _ALLOWED_BYTES):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    blocks = ([], [], [], [])
-    for start, end in _blocks(data):
-        m = end - start
-        b = np.zeros(m + 1 + _MAX_TOKEN, dtype=np.uint8)
-        b[:m] = buf[start:end]
-        if b[m - 1] != _NEWLINE:  # the file's unterminated last line
-            b[m] = _NEWLINE
-            m += 1
-        parsed = _parse_block(b, m)
+def _parse(data: bytes) -> list:
+    """The blocks of a file's bytes that :func:`_join` takes. Each block
+    takes the vectorized parse, or where that declines it, the line parser
+    alone: it is decoded, split as a text-mode read splits lines (universal
+    newlines) and numbered on from the blocks before it; comments and blank
+    lines are skipped and each row is sorted. Anything malformed raises
+    LibsvmParseError with its 1-based line number; a byte that is not UTF-8
+    anywhere in the file is reported before any other error."""
+    blocks, first = [], 1
+    for chunk in _blocks(data):
+        parsed = _parse_block(chunk)
         if parsed is None:
-            return None
-        for arrays, a in zip(blocks, parsed):
-            arrays.append(a)
-    held.clear()
-    del data, buf
-    return _join(blocks, n_cols)
+            lines = decode_utf8(chunk, first=first).splitlines()
+            rows = ((lineno, *_parse_line(raw, lineno))
+                    for lineno, raw in enumerate(lines, start=first)
+                    if raw.split("#", 1)[0].strip())
+            try:
+                parsed = _assemble(rows)
+            except LibsvmParseError:  # a bad byte anywhere comes first
+                decode_utf8(data)
+                raise
+            first += len(lines)
+        else:  # one row per line
+            first += parsed[0].size
+        blocks.append(parsed)
+    return blocks
 
 
 def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
@@ -431,17 +426,16 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
     malformed file raises :class:`LibsvmParseError`, a byte that is not
     UTF-8 included, whose message starts with the path and then the
     offending 1-based line number; a truncated or corrupt gzip file raises
-    ``gzip.BadGzipFile`` naming the path. The file is read once; a file in
-    plain form takes the vectorized parse of those bytes and any other the
-    line parser; both give the same Dataset.
+    ``gzip.BadGzipFile`` naming the path. The file is read once and parsed
+    one block of lines at a time: a block in plain form takes the
+    vectorized parse and any other the line parser; both give the same
+    Dataset.
     """
     path = Path(path)
-    try:
-        held = [_read(path)]  # read once, for either parser
+    try:  # the bytes are freed when _parse returns, before the join
+        ds, zero_seen = _join(_parse(_read(path)), n_cols_hint)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut short or corrupt
         raise gzip.BadGzipFile(f"{path}: {exc}") from exc
-    try:
-        ds, zero_seen = _parse_fast(held, n_cols_hint) or _parse_lines(held[0], n_cols_hint)
     except ValueError as exc:  # the error keeps its type and line number
         exc.args = (f"{path}: {exc}",)
         raise

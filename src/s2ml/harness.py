@@ -11,6 +11,7 @@ import contextlib
 import csv
 import hashlib
 import html
+import io
 import math
 import os
 import time
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_dataset
+from .data import Dataset, decode_utf8, load_dataset
 from .problems import Problem, ProblemConfig, make_problem
 from .solvers import SolverConfig, run_solver
 
@@ -336,35 +337,36 @@ def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
     """Inverse of :func:`write_trace_csv` (bit-exact for finite values).
 
     Each solver's reps must run 0, 1, ... without gaps, as written."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    text = decode_utf8(Path(path).read_bytes(), lambda message, lineno:
+                       ValueError(f"{path}: line {lineno}: {message}"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty trace file") from None
+    if header != CSV_HEADER.split(","):
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    out: dict[str, list[list[TraceRecord]]] = {}
+    for row in reader:
+        if len(row) != 9:
+            raise ValueError(f"{path}: expected 9 fields, got {len(row)}")
+        solver, rep_s, it, wall, obj, gap, acc, gn, rows = row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        out: dict[str, list[list[TraceRecord]]] = {}
-        for row in reader:
-            if len(row) != 9:
-                raise ValueError(f"{path}: expected 9 fields, got {len(row)}")
-            solver, rep_s, it, wall, obj, gap, acc, gn, rows = row
-            try:
-                rep = int(rep_s)
-                record = TraceRecord(
-                    iter=int(it), wall_time_s=float(wall), objective=float(obj),
-                    optimality_gap=float(gap),
-                    test_accuracy=None if acc == "" else float(acc),
-                    grad_norm=float(gn), rows_touched=int(rows))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            reps = out.setdefault(solver, [])
-            if rep == len(reps):
-                reps.append([])
-            if rep < 0 or rep != len(reps) - 1:
-                raise ValueError(f"{path}: solver {solver!r} jumps to rep {rep}; "
-                                 "its reps must run 0, 1, ... without gaps")
-            reps[rep].append(record)
+            rep = int(rep_s)
+            record = TraceRecord(
+                iter=int(it), wall_time_s=float(wall), objective=float(obj),
+                optimality_gap=float(gap),
+                test_accuracy=None if acc == "" else float(acc),
+                grad_norm=float(gn), rows_touched=int(rows))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        reps = out.setdefault(solver, [])
+        if rep == len(reps):
+            reps.append([])
+        if rep < 0 or rep != len(reps) - 1:
+            raise ValueError(f"{path}: solver {solver!r} jumps to rep {rep}; "
+                             "its reps must run 0, 1, ... without gaps")
+        reps[rep].append(record)
     return out
 
 

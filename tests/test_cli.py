@@ -108,11 +108,12 @@ class TestModelFile:
         (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "half"],
          "malformed coefficient line"),
         (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "nan"], "non-finite coefficient"),
+        (["\udcff"], "line 2: byte 0xff is not UTF-8"),
     ], ids=["header-only", "lambda", "negative-lambda", "infinite-lambda", "coefficient",
-            "nan"])
+            "nan", "not-utf8"])
     def test_malformed_body_rejected(self, tmp_path, lines, message):
-        p = tmp_path / "m.txt"
-        p.write_text("\n".join([MODEL_MAGIC, *lines]) + "\n")
+        p = tmp_path / "m.txt"  # "\udcff" is written as the lone byte 0xff
+        p.write_text("\n".join([MODEL_MAGIC, *lines]) + "\n", errors="surrogateescape")
         with pytest.raises(ModelFormatError, match=re.escape(f"{p}: {message}")):
             read_model(p)
 
@@ -174,7 +175,7 @@ class TestTrain:
     @pytest.mark.parametrize("path", ["fast", "line-parser"])
     def test_truncated_gzip_exits_2(self, tmp_path, train, monkeypatch, capsys, path):
         if path == "line-parser":
-            monkeypatch.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: None)
+            monkeypatch.setattr(s2ml.data, "_parse_block", lambda chunk: None)
         cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
         rc = main(["train", "--data", cut, "--out", str(tmp_path / "m.txt")])
         assert rc == 2
@@ -501,6 +502,13 @@ class TestFstarAndPlot:
         assert f"{path}: line 3: " in err and repr(text) in err
         assert not (tmp_path / "gap.svg").exists()
 
+    def test_plot_non_utf8_byte_exits_2(self, tmp_path, capsys):
+        path = self._traces(tmp_path, "tron", [0])
+        path.write_bytes(path.read_bytes().replace(b"tron", b"tr\xffn"))
+        assert main(["plot", "--data", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"s2ml: error: {path}: line 2: byte 0xff is not UTF-8\n"
+        assert not (tmp_path / "gap.svg").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, train):
@@ -560,6 +568,13 @@ class TestConfigFile:
             return
         assert rc == 0
         assert read_model(out)[1].add_bias is bias
+
+    def test_non_utf8_byte_exits_1(self, tmp_path, train, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"max-iters = 2\nlambda = 0.1\xff\n")
+        rc = main(["train", "--config", str(cfg), "--data", train])
+        assert rc == 1
+        assert f"{cfg}:2: byte 0xff is not UTF-8" in capsys.readouterr().err
 
     def test_bad_value_exits_1(self, tmp_path, train, capsys):
         cfg = tmp_path / "exp.cfg"

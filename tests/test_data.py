@@ -1,6 +1,7 @@
 import builtins
 import gzip
 import os
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -163,9 +164,20 @@ def _outcome(path, n_cols_hint):
 
 
 def _line_parser_outcome(monkeypatch, path, n_cols_hint):
+    """The outcome of the line parser over the whole file as one block."""
     with monkeypatch.context() as mp:
-        mp.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: None)
+        mp.setattr(s2ml.data, "_parse_block", lambda chunk: None)
+        mp.setattr(s2ml.data, "_BLOCK_BYTES", sys.maxsize)
         return _outcome(path, n_cols_hint)
+
+
+def _spy_parse_block(monkeypatch) -> list:
+    """Record what each ``_parse_block`` call returns (None: it declined)."""
+    parse_block = s2ml.data._parse_block
+    taken = []
+    monkeypatch.setattr(s2ml.data, "_parse_block", lambda chunk: (
+        taken.append(parse_block(chunk)) or taken[-1]))
+    return taken
 
 
 def _pick(rng, options):
@@ -233,14 +245,23 @@ _MUTATIONS = [
 ]
 
 
+# lines the vectorized parse declines: a comment, blank lines, a lone "\r",
+# a tab, a malformed entry and a byte that is not UTF-8
+_LATE_LINES = ["# comment", "-1 1:1 # tail", "", "  ", "+1 2:1\r-1 3:0.5", "+1\t1:1",
+               "-1 2:x", "+1 2:\udcff"]
+
+
 class TestFastPath:
     """The vectorized parse gives what the line parser gives, or falls back."""
 
-    @pytest.mark.parametrize("name", ["train1000.libsvm", "test200.libsvm", "gzip"])
+    @pytest.mark.parametrize("name", ["train1000.libsvm", "test200.libsvm", "gzip", "crlf"])
     def test_taken_for_plain_files(self, tmp_path, monkeypatch, name):
         if name == "gzip":
             path = tmp_path / "train.libsvm.gz"
             path.write_bytes(gzip.compress((FIXTURES / "train1000.libsvm").read_bytes()))
+        elif name == "crlf":
+            path = tmp_path / "train.libsvm"
+            path.write_bytes((FIXTURES / "train1000.libsvm").read_bytes().replace(b"\n", b"\r\n"))
         else:
             path = FIXTURES / name
         expected = [_line_parser_outcome(monkeypatch, path, hint) for hint in (None, 60)]
@@ -255,22 +276,23 @@ class TestFastPath:
     def test_differential_fuzz(self, tmp_path, monkeypatch, block_bytes):
         if block_bytes is not None:  # many blocks, lines longer than one; 1: a line each
             monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
-        parse_fast = s2ml.data._parse_fast
-        taken = []
-        monkeypatch.setattr(s2ml.data, "_parse_fast", lambda path, n_cols: (
-            taken.append(parse_fast(path, n_cols)) or taken[-1]))
+        taken = _spy_parse_block(monkeypatch)
         rng = np.random.default_rng(20190411)
         path = tmp_path / "fuzz.libsvm"
-        for case in range(500):
+        for case in range(600):
             d = int(rng.integers(1, 12))
             ds = random_dataset(rng, int(rng.integers(1, 8)), d,
                                 allow_empty=rng.random() < 0.2)
             lines = serialize_dataset(ds).splitlines()
-            # every mutation in turn, a fifth of the files clean, some doubled
-            if case % 5:
-                _MUTATIONS[case % len(_MUTATIONS)](rng, lines)
-            if rng.random() < 0.3:
-                _pick(rng, _MUTATIONS)(rng, lines)
+            # every mutation in turn, a fifth of the files clean, some doubled;
+            # then plain files ending in a line of another form, in a late block
+            if case >= 500:
+                lines.append(_pick(rng, _LATE_LINES))
+            else:
+                if case % 5:
+                    _MUTATIONS[case % len(_MUTATIONS)](rng, lines)
+                if rng.random() < 0.3:
+                    _pick(rng, _MUTATIONS)(rng, lines)
             text = ("\r\n" if rng.random() < 0.1 else "\n").join(lines)
             if rng.random() < 0.8:
                 text += "\n"
@@ -303,11 +325,13 @@ def _text_mode_outcome(monkeypatch, tmp_path, path, n_cols_hint):
     return result, [(c, m.replace(str(ref), str(path))) for c, m in caught]
 
 
-def _late(bad_line: str, n: int = 400) -> bytes:
-    """``n`` lines in plain form with a tab in the first (so the line parser
-    takes the file) and ``bad_line`` as line ``n - 1``."""
+def _late(bad_line: str, n: int = 400, tab: bool = True) -> bytes:
+    """``n`` lines in plain form with ``bad_line`` as line ``n - 1``, and
+    with a tab in the first (so the line parser takes the first block)
+    unless ``tab`` is false."""
     lines = [f"{'+1' if i % 2 else '-1'} {i % 7 + 1}:0.{i}" for i in range(n)]
-    lines[0] = lines[0].replace(" ", "\t")
+    if tab:
+        lines[0] = lines[0].replace(" ", "\t")
     lines[n - 2] = bad_line
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -326,6 +350,37 @@ _FALLBACK_INPUTS = {
 }
 
 
+# plain lines in every block but the one that holds the error
+_BLOCK_FALLBACK_INPUTS = {
+    "malformed": _late("+1 2:x", tab=False),
+    "duplicate": _late("-1 4:1 4:2", tab=False),
+    "bad-utf8": _late("+1 1:1", tab=False) + b"-1 2:\xff\n",
+    "gzip-malformed": gzip.compress(_late("+1 0:1", tab=False)),
+    # as a whole-file decode finds it, a later bad byte comes first
+    "early-malformed-late-bad-utf8": b"+1 2:x\n" + _late("+1 1:1", tab=False) + b"-1 2:\xff\n",
+}
+
+
+class TestBlockFallback:
+    """A block the vectorized parse declines is line-parsed alone, and its
+    errors name the lines a line parser over the whole file names."""
+
+    @pytest.mark.parametrize("name", sorted(_BLOCK_FALLBACK_INPUTS))
+    def test_error_names_the_whole_file_line(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", 256)
+        path = tmp_path / "in.libsvm"
+        path.write_bytes(_BLOCK_FALLBACK_INPUTS[name])
+        expected = _line_parser_outcome(monkeypatch, path, None)
+        taken = _spy_parse_block(monkeypatch)
+        assert _outcome(path, None) == expected
+        lineno = expected[0][2]
+        assert lineno == {"bad-utf8": 401, "early-malformed-late-bad-utf8": 402}.get(name, 399)
+        if name.startswith("early"):
+            assert taken == [None]
+        else:  # every block before the error takes the vectorized parse
+            assert len(taken) > 10 and None not in taken[:-1] and taken[-1] is None
+
+
 class TestReadOnce:
     """The loader reads a file's bytes once; the line parser splits those
     bytes as a text-mode read does."""
@@ -334,10 +389,7 @@ class TestReadOnce:
     def test_line_split_matches_text_mode_read(self, tmp_path, monkeypatch, name):
         path = tmp_path / "in.libsvm"
         path.write_bytes(_FALLBACK_INPUTS[name])
-        parse_fast = s2ml.data._parse_fast
-        taken = []
-        monkeypatch.setattr(s2ml.data, "_parse_fast", lambda held, n_cols: (
-            taken.append(parse_fast(held, n_cols)) or taken[-1]))
+        taken = _spy_parse_block(monkeypatch)
         for hint in (None, 9):
             assert _outcome(path, hint) == _text_mode_outcome(
                 monkeypatch, tmp_path, path, hint)
@@ -432,15 +484,6 @@ class TestCorruptGzip:
         assert type(info.value.__cause__) is cause
 
 
-def _spy_parse_fast(monkeypatch) -> list:
-    """Record what each ``_parse_fast`` call returns (None: it declined)."""
-    parse_fast = s2ml.data._parse_fast
-    taken = []
-    monkeypatch.setattr(s2ml.data, "_parse_fast", lambda held, n_cols: (
-        taken.append(parse_fast(held, n_cols)) or taken[-1]))
-    return taken
-
-
 def _place(byte: bytes, where: str) -> bytes:
     """40 lines in plain form with ``byte`` in the first or the last line
     (in place of the space after the label, or before the line end), or as
@@ -471,9 +514,17 @@ class TestFastPathPreconditions:
         path = tmp_path / "in.libsvm"
         path.write_bytes(_place(byte, where))
         expected = [_line_parser_outcome(monkeypatch, path, hint) for hint in (None, 12)]
-        taken = _spy_parse_fast(monkeypatch)
-        assert [_outcome(path, hint) for hint in (None, 12)] == expected
-        assert taken == [None, None]
+        taken = _spy_parse_block(monkeypatch)
+        for hint, expect in zip((None, 12), expected):
+            taken.clear()
+            assert _outcome(path, hint) == expect
+            declined = [t is None for t in taken]
+            if byte == b"\r" and where.endswith(" end"):
+                assert not any(declined)  # "\r\n" ends the line
+            else:  # only the block that holds the byte, before an error stops the load
+                holder = 0 if where.startswith("first") else len(taken) - 1
+                assert declined == [i == holder for i in range(len(taken))]
+                assert len(taken) > 1 or isinstance(expect[0][1], str)
 
     @pytest.mark.parametrize("block_bytes", [None, 16, 1])
     @pytest.mark.parametrize("other", [None, "+0", "-0", "1.0", "01", "+01", "1e0"])
@@ -481,13 +532,33 @@ class TestFastPathPreconditions:
         if block_bytes is not None:  # the other form in a block of its own
             monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", block_bytes)
         labels = ["+1", "-1", "1", "0", other, "-1", "+1", "1", "0"]
+        text = "".join(f"{label} {i + 1}:0.5\n" for i, label in enumerate(labels) if label)
         path = tmp_path / "in.libsvm"
-        path.write_text("".join(f"{label} {i + 1}:0.5\n"
-                                for i, label in enumerate(labels) if label))
+        taken = _spy_parse_block(monkeypatch)
+        # then a line of another form at the end: its block alone is declined
+        for late in ["", "# comment\n", "\n", "+1 2:1\r-1 3:1\n", "-1 2:\udcff\n"]:
+            path.write_bytes((text + late).encode("utf-8", "surrogateescape"))
+            expected = _line_parser_outcome(monkeypatch, path, None)
+            taken.clear()
+            assert _outcome(path, None) == expected
+            assert taken[0] is not None or (late and block_bytes is None)
+            assert (taken[-1] is None) == bool(late)
+
+    def test_line_parser_runs_for_the_declined_block_only(self, tmp_path, monkeypatch):
+        # 16-byte lines in 64-byte blocks: lines 4k+1 to 4k+4 share a block
+        monkeypatch.setattr(s2ml.data, "_BLOCK_BYTES", 64)
+        lines = [f"{'+1' if i % 2 else '-1'} {i % 9 + 1}:0.{i:08d}\n" for i in range(40)]
+        lines[21] = "# a comment ...\n"
+        assert {len(line) for line in lines} == {16}
+        path = tmp_path / "in.libsvm"
+        path.write_text("".join(lines))
         expected = _line_parser_outcome(monkeypatch, path, None)
-        taken = _spy_parse_fast(monkeypatch)
+        parse_line = s2ml.data._parse_line
+        ran = []
+        monkeypatch.setattr(s2ml.data, "_parse_line", lambda line, lineno: (
+            ran.append(lineno) or parse_line(line, lineno)))
         assert _outcome(path, None) == expected
-        assert taken[0] is not None
+        assert ran == [21, 23, 24]
 
     def test_long_token_declined(self, tmp_path, monkeypatch):
         # a value token of _MAX_TOKEN + 1 = 33 bytes goes to the line parser
@@ -496,7 +567,7 @@ class TestFastPathPreconditions:
         path = tmp_path / "in.libsvm"
         path.write_text(f"+1 1:0.5\n-1 2:{value}\n")
         expected = _line_parser_outcome(monkeypatch, path, None)
-        taken = _spy_parse_fast(monkeypatch)
+        taken = _spy_parse_block(monkeypatch)
         assert _outcome(path, None) == expected
         assert taken == [None]
         assert load_dataset(path).features.values[1] == float(value)
@@ -508,7 +579,7 @@ class TestFastPathPreconditions:
         path = tmp_path / "in.libsvm"
         path.write_bytes(b"0 1:1\n0 2:0.5 3:2\n0\n0 1:-1")
         expected = _line_parser_outcome(monkeypatch, path, None)
-        taken = _spy_parse_fast(monkeypatch)
+        taken = _spy_parse_block(monkeypatch)
         result, caught = _outcome(path, None)
         assert (result, caught) == expected
         assert taken[0] is not None

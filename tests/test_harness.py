@@ -287,6 +287,12 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"{p}: empty trace file")):
             read_trace_csv(p)
 
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(f"{CSV_HEADER}\ntron,0,0,0.5,1.5,0.5,,1.0,0\n".encode() + b"\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: byte 0xff is not UTF-8")):
+            read_trace_csv(p)
+
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(f"{CSV_HEADER}\ntron,0,0,0.5,1.5,0.5,,1.0\n")
