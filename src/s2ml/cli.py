@@ -113,11 +113,12 @@ def _bool_from_text(value: str) -> bool:
 def _add_problem_flags(p):
     p.add_argument("--data", default=None,
                    help="LIBSVM data file (plain text or gzip)")
-    p.add_argument("--problem", choices=sorted(PROBLEM_KINDS), default=None,
+    p.add_argument("--problem", dest="kind", choices=sorted(PROBLEM_KINDS),
+                   default=None,
                    help=f"loss to minimize (default: {ProblemConfig.kind})")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="L2 penalty weight (default: 1/n)")
-    p.add_argument("--bias", action="store_true", default=None,
+    p.add_argument("--bias", dest="add_bias", action="store_true", default=None,
                    help="append a constant-1 feature")
 
 
@@ -139,7 +140,7 @@ def _add_solver_flags(p, repeatable: bool):
     p.add_argument("--lbfgs-memory", type=int, default=None)
     p.add_argument("--batch0-frac", type=float, default=None)
     p.add_argument("--batch-growth", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, default=None)
 
 
 def build_parser() -> _Parser:
@@ -267,14 +268,6 @@ def _require_data(args):
     return args.data
 
 
-def _problem_config(args) -> ProblemConfig:
-    return _config(ProblemConfig, args, kind=args.problem, add_bias=args.bias)
-
-
-def _solver_config(args, method: str | None) -> SolverConfig:
-    return _config(SolverConfig, args, method=method, rng_seed=args.seed)
-
-
 def _write_plots(traces, out_dir: Path) -> list[str]:
     """Write gap.svg, plus accuracy.svg when the traces carry test accuracy."""
     paths = [out_dir / "gap.svg"]
@@ -292,9 +285,9 @@ def _write_plots(traces, out_dir: Path) -> list[str]:
 
 def _cmd_train(args) -> int:
     data = load_dataset(_require_data(args))
-    pcfg = _problem_config(args)
+    pcfg = _config(ProblemConfig, args)
     problem = make_problem(pcfg, data)
-    scfg = _solver_config(args, args.solver)
+    scfg = _config(SolverConfig, args, method=args.solver)
     w, termination = run_solver(problem, scfg)
     if termination == "non_finite":
         print(f"s2ml: error: {scfg.method} stopped on a non-finite objective or "
@@ -314,8 +307,9 @@ def _cmd_benchmark(args) -> int:
     spec = _config(
         ExperimentSpec, args,
         train_path=_require_data(args),
-        problem=_problem_config(args),
-        solvers=tuple(_solver_config(args, m) for m in args.solver or [None]),
+        problem=_config(ProblemConfig, args),
+        solvers=tuple(_config(SolverConfig, args, method=m)
+                      for m in args.solver or [None]),
         test_path=args.test_data)
     traces = run_experiment(spec)
     out_dir = Path(_get(args, "out_dir"))
@@ -330,7 +324,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_fstar(args) -> int:
     path = _require_data(args)
     data = load_dataset(path)
-    problem = make_problem(_problem_config(args), data)
+    problem = make_problem(_config(ProblemConfig, args), data)
     value = compute_f_star(problem, cache_dir=Path(path).parent)
     print(f"{value:.17g}")
     return 0

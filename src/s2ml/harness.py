@@ -108,21 +108,16 @@ _FSTAR_SOLVER = SolverConfig(method="tron", max_iters=1000, grad_tol=1e-12,
 class _Shifted:
     """``problem`` seen from ``start``: the kernels at z are those of the
     given object at ``start + z``, so a solver run from z = 0 is a run from
-    ``start``. ``grad_start``, the full-data gradient at ``start``, is
-    returned read-only for an all-zero z instead of being evaluated again."""
+    ``start``."""
 
-    def __init__(self, problem, start, grad_start):
+    def __init__(self, problem, start):
         self._problem, self._start = problem, start
-        self._grad_start = grad_start.view()
-        self._grad_start.flags.writeable = False
         self.dim, self.n_rows = problem.dim, problem.n_rows
 
     def objective(self, z, rows=None):
         return self._problem.objective(self._start + z, rows)
 
     def gradient(self, z, rows=None):
-        if rows is None and not np.any(z):  # start + (+-0) is start, bit for bit
-            return self._grad_start
         return self._problem.gradient(self._start + z, rows)
 
     def make_hess_vec(self, z, rows=None):
@@ -138,13 +133,12 @@ def _reference_point(problem, start=None, grad_norm0=None) -> np.ndarray:
     if start is not None:
         if grad_norm0 is None:
             grad_norm0 = float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
-        grad_start = problem.gradient(start)
-        g_start = float(np.linalg.norm(grad_start))
+        g_start = float(np.linalg.norm(problem.gradient(start)))
         if 0.0 < g_start < grad_norm0:
             # the same absolute stopping point, relative to ||grad f(start)||
             config = replace(_FSTAR_SOLVER,
                              grad_tol=_FSTAR_SOLVER.grad_tol * grad_norm0 / g_start)
-            target = _Shifted(problem, start, grad_start)
+            target = _Shifted(problem, start)
     w, termination = run_solver(target, config)
     if termination != "converged":
         raise ConvergenceError(

@@ -11,14 +11,17 @@ through BLAS, which splits long reductions (about 20k entries and up) over
 its threads.
 
 A problem remembers the full-data margins ``y * (X @ w)`` at the last point
-it was called with, keyed by a copy of w's bit pattern, so ``gradient``
+it was called with, keyed by a copy of w's bit pattern, and the full-data
+gradient there once it is asked for; a miss clears both. So ``gradient``
 after ``objective`` at the same point, or ``make_hess_vec`` after an
-accepted step, skips the product with X and returns exactly what a fresh
-evaluation would. ``-0.0``, NaN payloads and in-place changes to w never
-alias another point, and the remembered margins are read-only. A row batch
-slices them (scipy sums each row of ``X @ w`` in stored order, so the bits
-match a batch product); a miss computes and keeps all n rows, which stron's
-batch calls at its iterate do only after a rejected step.
+accepted step, skips the product with X, a second ``gradient`` skips the
+one with ``X.T`` too, and each returns exactly what a fresh evaluation
+would. ``-0.0``, NaN payloads and in-place changes to w never alias another
+point, and the remembered margins and gradient are read-only. A row batch
+slices the margins (scipy sums each row of ``X @ w`` in stored order, so
+the bits match a batch product) and its gradient is not remembered; a miss
+computes and keeps all n rows, which stron's batch calls at its iterate do
+only after a rejected step.
 
 The full-data transpose ``X.T`` is bound once per problem, so no gradient
 or Hessian-vector product rebuilds scipy's CSC wrapper per call. The
@@ -107,7 +110,7 @@ class Problem:
         self._X = data.features
         self._XT = self._X.T  # bound once: X.T builds a new CSC wrapper per call
         self._y = data.labels.astype(np.float64)
-        self._memo = None  # (bit pattern of w, margins) of the last full-data call
+        self._memo = None  # [bits of w, margins, full-data gradient or None]
 
     @property
     def kind(self) -> str:
@@ -138,7 +141,7 @@ class Problem:
             self._memo = None  # free the old margins before computing new ones
             m = self._y * (self._X @ wf + b)
             m.flags.writeable = False
-            self._memo = (bits.copy(), m)
+            self._memo = [bits.copy(), m, None]
         sel = slice(None) if rows is None else rows
         return rows, self._y[sel], wf, self._memo[1][sel]
 
@@ -162,12 +165,17 @@ class Problem:
 
     def gradient(self, w, rows=None) -> np.ndarray:
         rows, y, wf, m = self._eval(w, rows)
+        if rows is None and self._memo[2] is not None:
+            return self._memo[2]
         c = self._dmargin(m) * y / m.size
         XT = self._XT if rows is None else self._X[rows].T
-        gf = XT @ c + self.lam * wf
+        g = XT @ c + self.lam * wf
         if self.add_bias:
-            return np.concatenate([gf, [c.sum()]])
-        return gf
+            g = np.concatenate([g, [c.sum()]])
+        if rows is None:
+            g.flags.writeable = False
+            self._memo[2] = g
+        return g
 
     def make_hess_vec(self, w, rows=None):
         """Bind the Hessian-vector product at ``w`` (H is never formed).

@@ -2,11 +2,13 @@
 
 Four methods share a uniform interface: trust-region Newton (``tron``), its
 Hessian-subsampling variant (``stron``), line-search Newton-CG
-(``newton-cg``), and L-BFGS (``lbfgs``). A solver touches the problem only
-through a small protocol: ``objective(w, rows=None)``, ``gradient(w,
-rows=None)``, ``make_hess_vec(w, rows=None)`` returning a linear operator,
-plus the ``dim`` and ``n_rows`` attributes, so any object implementing it
-can be minimized.
+(``newton-cg``), and L-BFGS (``lbfgs``); ``tron`` is ``stron`` started on a
+full Hessian batch. A solver touches the problem only through a small
+protocol: ``objective(w, rows=None)``, ``gradient(w, rows=None)``,
+``make_hess_vec(w, rows=None)`` returning a linear operator, plus the
+``dim`` and ``n_rows`` attributes, so any object implementing it can be
+minimized. Steps never hand a gradient around: whether asking again costs a
+product is the problem's business.
 
 Every run starts from w = 0 and emits one :class:`IterationSnapshot` per
 iteration. ``rows_touched`` counts rows fed through the Hessian operator, a
@@ -89,6 +91,8 @@ class SolverConfig:
             raise ValueError("batch0_frac must be in (0, 1]")
         if not (1.0 <= self.batch_growth < math.inf):
             raise ValueError("batch_growth must be finite and >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -379,15 +383,15 @@ def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
-            g_new=None, *, cg_iters: int = 0, rows_touched: int = 0,
+            *, cg_iters: int = 0, rows_touched: int = 0,
             tr_radius: float | None = None) -> IterationSnapshot:
     """Commit the trial point ``w_new = state.w + step`` with objective
-    ``f_new`` (and gradient ``g_new``, evaluated here when not given) if the
-    step was accepted, else count a rejection; then close the iteration."""
+    ``f_new`` if the step was accepted, else count a rejection; then close
+    the iteration."""
     if accepted:
         state.w = w_new
         state.obj = f_new
-        state.grad = g_new if g_new is not None else problem.gradient(w_new)
+        state.grad = problem.gradient(w_new)
         state.consecutive_rejects = 0
     else:
         state.consecutive_rejects += 1
@@ -399,8 +403,21 @@ def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
         cg_iters_used=cg_iters, rows_touched=rows_touched)
 
 
-def _trust_region_step(problem, state: SolverState, config: SolverConfig,
-                       rows, batch_rows: int) -> IterationSnapshot:
+def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
+    """Trust-region iteration with the Hessian operator on a row batch.
+
+    While the batch is smaller than the dataset, the Hessian products are
+    restricted to a uniformly sampled batch of ``state.batch_size`` rows;
+    the gradient and the acceptance test always use the full data. The
+    batch then grows geometrically. A full batch draws nothing from the
+    rng, and tron is this step with the full batch from the start.
+    """
+    n = problem.n_rows
+    batch = state.batch_size
+    rows = None
+    if batch < n:
+        rows = np.sort(state.rng.choice(n, size=batch, replace=False))
+    state.batch_size = min(n, _ceil_int(config.batch_growth * batch))
     g = state.grad
     hv = problem.make_hess_vec(state.w, rows)
     calls = 0
@@ -420,7 +437,6 @@ def _trust_region_step(problem, state: SolverState, config: SolverConfig,
     f_new = problem.objective(w_new)
 
     noise = 16.0 * np.finfo(np.float64).eps * (1.0 + abs(f_old))
-    g_new = None
     if pred <= 0.0:
         # numerical breakdown of the model decrease; treat as a rejection
         accepted = False
@@ -430,8 +446,7 @@ def _trust_region_step(problem, state: SolverState, config: SolverConfig,
         # information. Accept on plain descent, or on a gradient-norm
         # decrease (the gradient stays informative on the flat plateau);
         # the recorded objective stays monotone across the plateau.
-        g_new = problem.gradient(w_new)
-        accepted = f_new <= f_old or _norm(g_new) < _norm(g)
+        accepted = f_new <= f_old or _norm(problem.gradient(w_new)) < _norm(g)
         if accepted:
             f_new = min(f_old, f_new)
             state.tr_radius = min(_SIGMA3 * state.tr_radius, _MAX_RADIUS)
@@ -447,33 +462,12 @@ def _trust_region_step(problem, state: SolverState, config: SolverConfig,
         elif rho > _ETA2 and snorm >= state.tr_radius * (1.0 - 1e-10):
             state.tr_radius = min(_SIGMA3 * state.tr_radius, _MAX_RADIUS)
 
-    return _finish(problem, state, accepted, s, w_new, f_new, g_new,
-                   cg_iters=cg_iters, rows_touched=(cg_iters + 1) * batch_rows,
+    return _finish(problem, state, accepted, s, w_new, f_new,
+                   cg_iters=cg_iters, rows_touched=(cg_iters + 1) * batch,
                    tr_radius=state.tr_radius)
 
 
-def tron_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
-    """One trust-region Newton iteration on the full dataset."""
-    return _trust_region_step(problem, state, config, None, problem.n_rows)
-
-
-def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
-    """Trust-region iteration with a subsampled Hessian operator.
-
-    Only the Hessian products are restricted to a uniformly sampled row
-    batch; the gradient and the acceptance test still use the full data.
-    The batch grows geometrically after every iteration until it covers the
-    dataset, at which point steps are identical to :func:`tron_step`.
-    """
-    n = problem.n_rows
-    if state.batch_size >= n:
-        rows, batch_rows = None, n
-    else:
-        rows = np.sort(state.rng.choice(n, size=state.batch_size, replace=False))
-        batch_rows = state.batch_size
-    snap = _trust_region_step(problem, state, config, rows, batch_rows)
-    state.batch_size = min(n, _ceil_int(config.batch_growth * state.batch_size))
-    return snap
+tron_step = stron_step  # tron's state holds a full batch (see init_state)
 
 
 def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int):
@@ -548,8 +542,7 @@ class LbfgsMemory:
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         self.maxlen = maxlen
-        self._Z = None
-        self._gram = np.zeros((2 * maxlen, 2 * maxlen))
+        self._Z = self._gram = None  # allocated by the first append
         self._next = 0  # slot the next append writes
         self._len = 0
 
@@ -571,6 +564,7 @@ class LbfgsMemory:
         s, y = pair
         if self._Z is None:
             self._Z = np.zeros((2 * self.maxlen, np.size(s)))
+            self._gram = np.zeros((2 * self.maxlen, 2 * self.maxlen))
         k = self._next
         self._Z[2 * k] = s
         self._Z[2 * k + 1] = y
@@ -666,8 +660,8 @@ def init_state(problem, config: SolverConfig) -> SolverState:
         raise MemoryError(f"cannot allocate a model of dimension {problem.dim}: "
                           f"{exc}") from exc
     g = problem.gradient(w)
-    batch0 = min(problem.n_rows,
-                 max(1, _ceil_int(config.batch0_frac * problem.n_rows)))
+    frac = 1.0 if config.method == "tron" else config.batch0_frac
+    batch0 = min(problem.n_rows, max(1, _ceil_int(frac * problem.n_rows)))
     return SolverState(
         w=w, grad=g, obj=problem.objective(w), grad_norm0=_norm(g),
         tr_radius=config.tr_radius0, rng=np.random.default_rng(config.rng_seed),

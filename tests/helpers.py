@@ -78,6 +78,25 @@ class QuadraticProblem:
         return lambda v: self.A @ np.asarray(v, dtype=np.float64)
 
 
+class CountingMatrix:
+    """Stands in for a problem's CSR matrix (or its transpose) and counts ``X @ v`` products."""
+
+    def __init__(self, X):
+        self.X = X
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.X @ v
+
+    def __getitem__(self, rows):
+        return self.X[rows]
+
+    @property
+    def T(self):
+        return self.X.T
+
+
 def full_row_hess_vec(problem, w, rows=None):
     """A problem's Hessian-vector operator over every evaluated row, straight
     from H v = X' diag(curvature) X v / n + lam v (bias entry included): the

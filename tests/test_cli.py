@@ -597,7 +597,8 @@ class TestConfigFile:
         ("benchmark", "reps = 0", "--reps"),
         ("train", "solver = bogus", None),
         ("train", "problem = bogus", None),
-    ], ids=["cg-rtol", "lambda", "reps", "solver", "problem"])
+        ("train", "seed = -1", "--seed"),
+    ], ids=["cg-rtol", "lambda", "reps", "solver", "problem", "seed"])
     def test_out_of_range_value_exits_1(self, tmp_path, train, command, line,
                                         flag, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -635,6 +636,7 @@ BAD_FLAG_CASES = [
     (["--frobnicate"], "--frobnicate"),
     (["--lambda", "inf"], "--lambda"),
     (["--batch-growth", "inf"], "--batch-growth"),
+    (["--seed", "-1"], "--seed"),
 ]
 
 

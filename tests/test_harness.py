@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import s2ml.harness as harness
-from helpers import QuadraticProblem, classification_dataset
+from helpers import CountingMatrix, QuadraticProblem, classification_dataset
 from s2ml.data import serialize_dataset
 from s2ml.harness import (CSV_HEADER, ConvergenceError, ExperimentSpec,
                           TraceRecord, compute_f_star, dataset_digest,
@@ -518,27 +518,39 @@ class TestWarmFStar:
                                small_instance(26, n=400, d=40))
         start = _solved(problem)
         g0 = float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
-        plain, told = CountingGrad(problem), CountingGrad(problem)
-        assert compute_f_star(told, start=start, grad_norm0=g0) == \
-            compute_f_star(plain, start=start)
-        # told skips grad f(0); both hand grad f(start) to the run's first state
-        assert len(plain.points) == len(told.points) + 1
-        assert np.array_equal(plain.points[0], np.zeros(problem.dim))
-        seen = [w.tobytes() for w in told.points]
-        assert seen[0] == start.tobytes()
-        assert len(set(seen)) == len(seen)
+        runs = {}
+        for told in (True, False):
+            fresh = make_problem(problem.config, problem.data)
+            fresh._XT = counted = CountingMatrix(fresh._XT)
+            hv = CountingHv(fresh)
+            points = CountingGrad(hv)
+            f = compute_f_star(points, start=start, grad_norm0=g0 if told else None)
+            seen = [w.tobytes() for w in points.points]
+            # each Hv apply makes one X^T product; the rest are gradients'
+            runs[told] = (f, counted.products - hv.applies, seen)
+        (f_told, n_told, seen), (f_plain, n_plain, _) = runs[True], runs[False]
+        assert f_told == f_plain
+        # grad f(start) is asked for twice, by the warm test and by the run's
+        # first state, and the problem's memo serves the second call
+        assert seen[0] == seen[1] == start.tobytes()
+        assert n_told == len(set(seen)) < len(seen)
+        assert n_plain == n_told + 1  # told skips grad f(0)
 
     def test_shifted_gradient_at_zero_is_read_only(self):
         problem = make_problem(ProblemConfig(kind="logistic", lam=1e-3),
                                small_instance(27))
         start = np.full(problem.dim, 0.1)
-        shifted = harness._Shifted(problem, start, problem.gradient(start))
+        g = problem.gradient(start)
+        problem._X = counted_x = CountingMatrix(problem._X)
+        problem._XT = counted_xt = CountingMatrix(problem._XT)
+        shifted = harness._Shifted(problem, start)
         for z in (np.zeros(problem.dim), np.full(problem.dim, -0.0)):
-            g = shifted.gradient(z)
-            assert not g.flags.writeable
-            assert g.tobytes() == problem.gradient(start).tobytes()
+            assert shifted.gradient(z) is g  # start + (+-0) is start, bit for bit
+        assert not g.flags.writeable
+        assert counted_x.products == counted_xt.products == 0
         z = np.full(problem.dim, 1e-3)
-        assert shifted.gradient(z).tobytes() == problem.gradient(start + z).tobytes()
+        assert shifted.gradient(z).tobytes() == make_problem(
+            problem.config, problem.data).gradient(start + z).tobytes()
 
 
 class TestReferenceFromIterates:

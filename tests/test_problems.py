@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, fd_hess_vec, full_row_hess_vec, random_dataset
+from helpers import (CountingMatrix, fd_gradient, fd_hess_vec, full_row_hess_vec,
+                     random_dataset)
 from s2ml.data import dataset_from_rows
 from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 
@@ -268,25 +269,6 @@ class TestRowsValidation:
             problem.objective(np.zeros(problem.dim + 1))
 
 
-class CountingMatrix:
-    """Stands in for a problem's CSR matrix and counts ``X @ v`` products."""
-
-    def __init__(self, X):
-        self.X = X
-        self.products = 0
-
-    def __matmul__(self, v):
-        self.products += 1
-        return self.X @ v
-
-    def __getitem__(self, rows):
-        return self.X[rows]
-
-    @property
-    def T(self):
-        return self.X.T
-
-
 class RowLoggingMatrix:
     """Stands in for a problem's CSR matrix and logs which original rows
     reach ``X @ v`` and ``X.T @ u``; a row gather is logged too, and returns
@@ -359,25 +341,35 @@ class TestMarginMemo:
         with pytest.raises(ValueError):
             m[0] = 1e6
         assert problem.objective(w) == before
-        assert np.array_equal(problem.gradient(w),
-                              make_problem(problem.config, problem.data).gradient(w))
+        g = problem.gradient(w)
+        with pytest.raises(ValueError):
+            g[0] = 1e6
+        assert g.tobytes() == \
+            make_problem(problem.config, problem.data).gradient(w).tobytes()
 
     def test_row_calls_bypass_the_memo(self):
         rng = np.random.default_rng(24)
         problem, w = random_problem(rng, "logistic", 0.1, n=30, d=6)
         rows = np.array([0, 3, 9])
         problem._X = counted = CountingMatrix(problem._X)
+        problem._XT = counted_t = CountingMatrix(problem._XT)
         problem.objective(w)
         assert counted.products == 1
         fresh = make_problem(problem.config, problem.data)
+        batches = []
         for _ in range(2):  # a row batch at the memoized point slices the memo
             assert problem.objective(w, rows=rows) == fresh.objective(w, rows=rows)
-            assert np.array_equal(problem.gradient(w, rows=rows),
-                                  fresh.gradient(w, rows=rows))
+            batches.append(problem.gradient(w, rows=rows))
+            assert np.array_equal(batches[-1], fresh.gradient(w, rows=rows))
+        assert batches[0] is not batches[1]  # a row-batch gradient is not kept
         assert counted.products == 1
-        problem.gradient(w)
+        g = problem.gradient(w)
         problem.make_hess_vec(w)
         assert counted.products == 1
+        # the full-data gradient is kept: a second call makes no X^T product
+        assert counted_t.products == 1
+        assert problem.gradient(w) is g
+        assert counted_t.products == 1
 
     def test_one_product_per_lbfgs_evaluation_point(self):
         # each line-search trial of lbfgs is a new point and pays for one

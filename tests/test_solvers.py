@@ -54,6 +54,7 @@ class TestConfigValidation:
         {"grad_tol": math.inf},
         {"tr_radius0": math.inf},
         {"batch_growth": math.inf},
+        {"rng_seed": -1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -472,6 +473,13 @@ class TestLbfgs:
         with pytest.raises(ValueError, match="maxlen"):
             LbfgsMemory(0)
 
+    def test_memory_allocates_at_the_first_append(self):
+        # every run builds a memory, so one that no pair reaches costs nothing
+        assert len(LbfgsMemory(10**8)) == 0
+        problem = logistic_problem(5, 40, 4, lam=0.1)
+        _, term = run_solver(problem, SolverConfig(method="tron", lbfgs_memory=10**8))
+        assert term == "converged"
+
     def test_non_descent_direction_falls_back_to_steepest_descent(self):
         problem = QuadraticProblem(np.eye(2), c=[-1.0, -1.0])
         config = SolverConfig(method="lbfgs")
@@ -593,9 +601,10 @@ def trajectory_sha256(problem, config):
     digest = hashlib.sha256()
 
     def record(snap):
+        radius = math.nan if snap.tr_radius is None else snap.tr_radius
         digest.update(struct.pack("<qddqqd?", snap.iter, snap.objective, snap.grad_norm,
                                   snap.rows_touched, snap.cg_iters_used,
-                                  snap.tr_radius, snap.step_accepted))
+                                  radius, snap.step_accepted))
         digest.update(snap.w.tobytes())
 
     w, termination = run_solver(problem, config, record)
@@ -620,6 +629,24 @@ class TestActiveRowTrajectories:
             assert (got, termination) == trajectory_sha256(reference, solver)[:2]
             assert termination == "converged"
             assert np.mean(problem.margins(w) < 1.0) < GATHER_MAX_ACTIVE
+
+
+class TestMemoTrajectories:
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_memoized_gradient_keeps_every_trajectory(self, kind, bias):
+        # the tight tolerance runs tron and stron into the plateau test,
+        # whose gradient at the trial point the commit then reuses
+        rng = np.random.default_rng(42)
+        data = classification_dataset(rng, 150, 10, 6)
+        config = ProblemConfig(kind=kind, lam=1e-3, add_bias=bias)
+        for method in ("tron", "stron", "newton-cg", "lbfgs"):
+            solver = SolverConfig(method=method, grad_tol=1e-14, max_iters=200)
+            reference = make_problem(config, data)
+            reference.gradient = (
+                lambda w, rows=None: make_problem(config, data).gradient(w, rows))
+            got = trajectory_sha256(make_problem(config, data), solver)[:2]
+            assert got == trajectory_sha256(reference, solver)[:2]
 
 
 def _brentq_outcome(fn, f, a, b, **kw):
