@@ -5,10 +5,11 @@ with 1-based, ascending indices), validated, and stored immutably so that
 many solver runs can share one copy of the scipy CSR matrix
 (:class:`Features`). Input files may be plain text or gzip-compressed
 (detected by magic bytes). A file is parsed one block of lines at a time:
-a block in plain form, with LF or CRLF line ends, takes a vectorized parse,
-and a block in any other form is line-parsed alone. Both hand the same
-arrays to one join, which builds the matrix. The line parser is the only
-source of parse errors, and each names the file.
+a block in plain form, with LF or CRLF line ends and every label written
+"+1", "-1", "1" or "0", takes a vectorized parse, and a block in any other
+form is line-parsed alone. Both hand the same arrays to one join, which
+builds the matrix. The line parser is the only source of parse errors, and
+each names the file.
 """
 
 from __future__ import annotations
@@ -307,22 +308,17 @@ def _indices(chars: np.ndarray, inside: np.ndarray, lengths: np.ndarray):
 
 
 def _labels(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """The label tokens at ``starts`` as the line parser reads them, 1, -1
-    or 0, or None if it rejects one. When every token is "+1", "-1", "1"
-    or "0" they are read by byte comparison; any other form sends them all
-    through :func:`_floats`. ``b`` extends past the tokens as in
+    """The label tokens at ``starts``, each "+1", "-1", "1" or "0", read by
+    byte comparison as 1, -1 or 0; None when any token has another form,
+    which the line parser then reads. ``b`` extends past the tokens as in
     :func:`_token_chars`."""
     first = b[starts]
     canonical = np.where(lengths == 1, (first == _ONE) | (first == _ZERO),
                          (lengths == 2) & (b[starts + 1] == _ONE)
                          & ((first == _PLUS) | (first == _MINUS)))
-    if canonical.all():
-        return np.where(first == _MINUS, -1, np.where(first == _ZERO, 0, 1))
-    tokens = _token_chars(b, starts, lengths)
-    labels = None if tokens is None else _floats(tokens[0])
-    if labels is None or not np.all((labels == 1) | (labels == -1) | (labels == 0)):
+    if not canonical.all():
         return None
-    return labels
+    return np.where(first == _MINUS, -1, np.where(first == _ZERO, 0, 1))
 
 
 def _parse_block(chunk: bytes):
@@ -331,8 +327,9 @@ def _parse_block(chunk: bytes):
     indices, values)`` as the line parser would read them, one row per
     line. It raises no parse error, and returns None for any block it does
     not take: comments, blank lines, tabs, a "\\r" with no "\\n" after it
-    but at the end, non-ASCII bytes, unsorted or duplicate indices, index
-    forms other than plain digits, and every token the line parser rejects.
+    but at the end, non-ASCII bytes, label forms other than "+1", "-1", "1"
+    and "0", unsorted or duplicate indices, index forms other than plain
+    digits, and every token the line parser rejects.
     """
     if not chunk or chunk.translate(None, _ALLOWED_BYTES):
         return None

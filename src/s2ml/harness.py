@@ -245,7 +245,8 @@ def _unique_names(configs) -> list[str]:
 
 
 def _run_one(problem: Problem, config: SolverConfig, test: Dataset | None):
-    """One timed run: ``(records, final w)``, the records' gaps still NaN."""
+    """One timed run: ``(records, final w, termination)``, the records'
+    gaps still NaN."""
     records: list[TraceRecord] = []
     start = time.perf_counter()
     excluded = 0.0
@@ -264,8 +265,8 @@ def _run_one(problem: Problem, config: SolverConfig, test: Dataset | None):
             grad_norm=snap.grad_norm, rows_touched=cumulative_rows))
         excluded += time.perf_counter() - now  # keep metrics out of the clock
 
-    w, _ = run_solver(problem, config, on_snapshot)
-    return records, w
+    w, termination = run_solver(problem, config, on_snapshot)
+    return records, w, termination
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
@@ -275,7 +276,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
     runs share a single reference optimum so gaps are comparable. The
     solvers run first; a computed optimum is then certified from the final
     iterate with the lowest finite objective (see :func:`compute_f_star`),
-    and every record's gap is filled in from it.
+    and every record's gap is filled in from it. A run that does not
+    converge warns, naming the solver, the repetition and the termination.
     """
     train = load_dataset(spec.train_path)
     problem = make_problem(spec.problem, train)
@@ -292,7 +294,10 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
         reps = []
         for rep in range(spec.repetitions):
             run_cfg = replace(cfg, rng_seed=cfg.rng_seed + rep)
-            records, w = _run_one(problem, run_cfg, test)
+            records, w, termination = _run_one(problem, run_cfg, test)
+            if termination != "converged":
+                warnings.warn(f"{name} rep {rep} stopped: {termination}",
+                              RuntimeWarning, stacklevel=2)
             if records and records[-1].objective < best_obj:
                 best_w, best_obj = w, records[-1].objective
                 grad_norm0 = records[0].grad_norm  # ||grad f(0)||, as iteration 0

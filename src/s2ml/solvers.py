@@ -19,7 +19,6 @@ across methods and not counted).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,8 +295,9 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     ``"neg_curvature"`` when indefiniteness was encountered). Hitting the
     iteration cap returns the current point with status ``"max_iters"``.
 
-    A direction whose curvature is zero, or at most 1e-12 of the largest
-    Rayleigh quotient d.H.d / d.d seen in this solve, is a breakdown: from
+    A direction whose curvature is zero, at most 1e-12 of the largest
+    Rayleigh quotient d.H.d / d.d seen in this solve, or not a finite number
+    (a Hessian product that overflowed or gave NaN), is a breakdown: from
     the interior the search follows it to the boundary (status
     ``"neg_curvature"``); past the boundary it returns the subspace
     solution it has. ``rtol`` must lie in [0, 1).
@@ -333,7 +333,7 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
         Hd = hv(d)
         kappa = float(d @ Hd)
         curvature = max(curvature, abs(kappa) / dd)
-        if abs(kappa) <= 1e-12 * curvature * dd:
+        if not abs(kappa) > 1e-12 * curvature * dd:
             # breakdown: a step rr / kappa would overflow or mean nothing
             if interior:
                 return _to_boundary(s, d, radius), "neg_curvature"
@@ -472,8 +472,8 @@ tron_step = stron_step  # tron's state holds a full batch (see init_state)
 
 def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int):
     """Unpreconditioned CG on H x = -g; stops at a relative residual or on
-    non-positive curvature (returning the progress so far). Returns ``(x,
-    number of Hessian products)``."""
+    curvature that is not positive and finite (returning the progress so
+    far). Returns ``(x, number of Hessian products)``."""
     x = np.zeros_like(g)
     r = g.copy()
     p = -g
@@ -483,7 +483,7 @@ def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int):
     for calls in range(1, max_iters + 1):
         Hp = hv(p)
         kappa = float(p @ Hp)
-        if kappa <= 0.0:
+        if not 0.0 < kappa < math.inf:
             break
         a = rr / kappa
         x = x + a * p
@@ -668,24 +668,12 @@ def init_state(problem, config: SolverConfig) -> SolverState:
         batch_size=batch0, lbfgs_pairs=LbfgsMemory(config.lbfgs_memory))
 
 
-def _emit(callback, snapshot: IterationSnapshot) -> bool:
-    if callback is None:
-        return True
-    try:
-        callback(snapshot)
-        return True
-    except Exception:
-        warnings.warn("iteration callback raised; aborting the solver run",
-                      RuntimeWarning, stacklevel=3)
-        return False
-
-
 def run_solver(problem, config: SolverConfig, callback=None):
     """Minimize ``problem`` with the configured method, from w = 0.
 
     ``callback``, when given, receives every IterationSnapshot (including
-    one for the initial point at iter 0) before the stopping test runs; a
-    raising callback aborts the run without propagating.
+    one for the initial point at iter 0) before the stopping test runs; an
+    exception it raises ends the run and reaches the caller unchanged.
 
     Returns ``(w, termination)`` with termination one of ``"converged"``
     (relative gradient-norm test), ``"max_iters"``, ``"stalled"`` (20
@@ -701,9 +689,9 @@ def run_solver(problem, config: SolverConfig, callback=None):
         step_accepted=True,
         tr_radius=state.tr_radius if config.method in ("tron", "stron") else None,
         step_norm=0.0, cg_iters_used=0, rows_touched=0)
-    if not _emit(callback, snapshot):
-        return state.w, "stalled"
     while True:
+        if callback is not None:
+            callback(snapshot)
         if not (math.isfinite(snapshot.grad_norm) and math.isfinite(state.obj)):
             return state.w, "non_finite"
         if snapshot.grad_norm <= config.grad_tol * state.grad_norm0:
@@ -713,5 +701,3 @@ def run_solver(problem, config: SolverConfig, callback=None):
         if state.consecutive_rejects >= _STALL_LIMIT:
             return state.w, "stalled"
         snapshot = step_fn(problem, state, config)
-        if not _emit(callback, snapshot):
-            return state.w, "stalled"

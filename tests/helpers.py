@@ -9,6 +9,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from s2ml.data import Dataset, dataset_from_rows
+from s2ml.problems import Problem
 
 
 def random_rows(rng, n, d, allow_empty=True, nonzero_values=False):
@@ -95,6 +96,23 @@ class CountingMatrix:
     @property
     def T(self):
         return self.X.T
+
+
+def fail_accuracy_at(monkeypatch, call: int) -> list:
+    """Make ``Problem.predict_accuracy`` raise ``MemoryError("metric
+    failed")`` at its ``call``-th call (1-based); the list returned counts
+    the calls."""
+    accuracy = Problem.predict_accuracy
+    calls = []
+
+    def failing(self, data, w):
+        calls.append(w)
+        if len(calls) == call:
+            raise MemoryError("metric failed")
+        return accuracy(self, data, w)
+
+    monkeypatch.setattr(Problem, "predict_accuracy", failing)
+    return calls
 
 
 def full_row_hess_vec(problem, w, rows=None):

@@ -5,6 +5,7 @@ import runpy
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import s2ml.data
-from helpers import corrupt_gzip
+from helpers import corrupt_gzip, fail_accuracy_at
 from s2ml.cli import MODEL_MAGIC, ModelFormatError, main, read_model, write_model
 from s2ml.data import load_dataset
 from s2ml.harness import CSV_HEADER, read_trace_csv
@@ -238,6 +239,30 @@ class TestBenchmark:
         assert first == CSV_HEADER
         traces = read_trace_csv(csv_path)
         assert set(traces) == {"tron", "stron"}
+
+    def test_unconverged_run_warns_and_writes_traces(self, tmp_path, train):
+        out_dir = tmp_path / "results"
+        args = ["benchmark", "--data", train, "--solver", "tron", "--reps", "2",
+                "--out-dir", str(out_dir)]
+        for extra, expect in [(["--max-iters", "1"], [
+                                  f"tron rep {rep} stopped: max_iters" for rep in (0, 1)]),
+                              ([], [])]:  # the defaults converge
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*args, *extra]) == 0
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (RuntimeWarning, message) for message in expect]
+            assert len(read_trace_csv(out_dir / "traces.csv")["tron"]) == 2
+
+    def test_failing_metric_exits_2_without_traces(self, tmp_path, train, test_split,
+                                                   capsys, monkeypatch):
+        fail_accuracy_at(monkeypatch, 4)
+        out_dir = tmp_path / "results"
+        rc = main(["benchmark", "--data", train, "--test-data", test_split,
+                   "--solver", "tron", "--solver", "lbfgs", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "s2ml: error: out of memory: metric failed\n"
+        assert not (out_dir / "traces.csv").exists()
 
     def test_train_accuracy_reproduced_by_benchmark(self, tmp_path, train):
         # train and benchmark share defaults, so the benchmark's final record

@@ -535,14 +535,20 @@ class TestFastPathPreconditions:
         text = "".join(f"{label} {i + 1}:0.5\n" for i, label in enumerate(labels) if label)
         path = tmp_path / "in.libsvm"
         taken = _spy_parse_block(monkeypatch)
-        # then a line of another form at the end: its block alone is declined
+        # then a line of another form at the end: its block is declined too
         for late in ["", "# comment\n", "\n", "+1 2:1\r-1 3:1\n", "-1 2:\udcff\n"]:
             path.write_bytes((text + late).encode("utf-8", "surrogateescape"))
             expected = _line_parser_outcome(monkeypatch, path, None)
             taken.clear()
             assert _outcome(path, None) == expected
-            assert taken[0] is not None or (late and block_bytes is None)
-            assert (taken[-1] is None) == bool(late)
+            # only a block holding a label of another form, or the late line
+            chunks = list(s2ml.data._blocks(path.read_bytes()))
+            holds_other = [other is not None and f"\n{other} ".encode() in b"\n" + c
+                           for c in chunks]
+            assert any(holds_other) == (other is not None)
+            assert [t is None for t in taken] == [
+                held or (bool(late) and i == len(chunks) - 1)
+                for i, held in enumerate(holds_other)]
 
     def test_line_parser_runs_for_the_declined_block_only(self, tmp_path, monkeypatch):
         # 16-byte lines in 64-byte blocks: lines 4k+1 to 4k+4 share a block

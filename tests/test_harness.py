@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import s2ml.harness as harness
-from helpers import CountingMatrix, QuadraticProblem, classification_dataset
+from helpers import (CountingMatrix, QuadraticProblem, classification_dataset,
+                     fail_accuracy_at)
 from s2ml.data import serialize_dataset
 from s2ml.harness import (CSV_HEADER, ConvergenceError, ExperimentSpec,
                           TraceRecord, compute_f_star, dataset_digest,
@@ -154,6 +155,20 @@ class TestRunExperiment:
         rep0, rep1 = traces["tron"]
         assert [(r.iter, r.objective, r.grad_norm) for r in rep0] == \
                [(r.iter, r.objective, r.grad_norm) for r in rep1]
+
+    def test_failing_metric_propagates(self, tmp_path, monkeypatch):
+        train = write_split(tmp_path, "train.libsvm", small_instance(8))
+        test = write_split(tmp_path, "test.libsvm", small_instance(9))
+        calls = fail_accuracy_at(monkeypatch, 4)
+        spec = ExperimentSpec(
+            problem=ProblemConfig(kind="logistic", lam=0.05),
+            solvers=[SolverConfig(method="tron", grad_tol=1e-8),
+                     SolverConfig(method="lbfgs", grad_tol=1e-8)],
+            train_path=train, test_path=test)
+        with pytest.raises(MemoryError, match="^metric failed$"):
+            run_experiment(spec)
+        assert len(calls) == 4
+        assert not list(tmp_path.glob("*.fstar"))  # no reference solve ran
 
     def test_accuracy_does_not_change_objective_column(self, tmp_path):
         data = small_instance(8)

@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import math
+import signal
 import struct
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -59,6 +61,39 @@ class TestConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the body with TimeoutError, instead of hanging the suite, when it
+    runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Hessian products that turn non-finite: NaN, and +inf or -inf curvature
+NON_FINITE = {"nan": lambda v: np.full_like(v, math.nan),
+              "inf": lambda v: math.inf * v,
+              "-inf": lambda v: -math.inf * v}
+
+
+def failing_hv(H, bad_call, bad):
+    """``v -> H @ v`` up to call ``bad_call`` (1-based), ``bad(v)`` from then
+    on; the list it returns counts the calls."""
+    calls = []
+
+    def hv(v):
+        calls.append(v)
+        return bad(v) if len(calls) >= bad_call else H @ v
+    return hv, calls
 
 
 class TestSteihaug:
@@ -160,6 +195,23 @@ class TestSteihaug:
             assert np.linalg.norm(s) <= radius * (1 + 1e-12)
             cauchy = self.boundary_cauchy_value(H, g, radius)
             assert model_value(H, g, s) <= min(0.0, cauchy) + 1e-12 * max(1.0, abs(cauchy))
+
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("radius", [0.1, 100.0])
+    @pytest.mark.parametrize("bad_call", range(1, 7))
+    def test_non_finite_product_returns(self, bad, radius, bad_call):
+        # at radius 0.1 the first step crosses the sphere, so a later bad
+        # product comes past the boundary, where it used to reach the root
+        # find's bracket and double it forever
+        H = np.diag([1.0, 5.0, 30.0])
+        g = np.array([1.0, -2.0, 3.0])
+        hv, calls = failing_hv(H, bad_call, bad)
+        with deadline(5.0):
+            s, status = steihaug_cg(hv, g, radius, rtol=1e-6)
+        assert np.all(np.isfinite(s))
+        assert np.linalg.norm(s) <= radius * (1 + 1e-12)
+        if len(calls) >= bad_call:  # the bad product came before convergence
+            assert len(calls) == bad_call and status != "interior"
 
     def test_ball_min_tiny_radius_doubles_the_bracket(self):
         # radius / ||g|| = 1e-28: the first upper bracket still gives a step
@@ -382,6 +434,31 @@ class TestNewtonCg:
         assert term == "converged"
         assert snaps[-1].iter <= 30
 
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    @pytest.mark.parametrize("bad_call", range(1, 5))
+    def test_non_finite_product_stops_cg(self, bad, bad_call):
+        # CG returns the progress made before the bad product, which the
+        # line search then accepts (the steepest descent step for call 1)
+        H = np.diag([1.0, 5.0, 30.0, 200.0])
+
+        class Failing(QuadraticProblem):
+            def make_hess_vec(self, w, rows=None):
+                return hv
+
+        hv, calls = failing_hv(H, bad_call, bad)
+        problem = Failing(H)
+        config = SolverConfig(method="newton-cg", cg_rtol=1e-12)
+        state = make_state(problem, config, [1.0, -2.0, 3.0, -4.0])
+        f0 = state.obj
+        x, used = solvers._cg_solve(hv, state.grad, config.cg_rtol, config.cg_max_iters)
+        assert used == len(calls) == bad_call
+        assert np.all(np.isfinite(x))
+        calls.clear()
+        with deadline(5.0):
+            snap = newton_cg_step(problem, state, config)
+        assert snap.cg_iters_used == bad_call
+        assert snap.step_accepted and state.obj < f0
+
     def test_line_search_exhaustion_rejects(self):
         class Liar(QuadraticProblem):
             # gradient points uphill, so no halving can satisfy the test
@@ -537,27 +614,32 @@ class TestRunSolver:
                 assert x.grad_norm == y.grad_norm
                 assert np.array_equal(x.w, y.w)
 
-    def test_callback_failure_aborts_cleanly(self):
+    @staticmethod
+    def fail_callback_at(fail_at):
+        """Run with a callback that raises its own exception at iteration
+        ``fail_at``; the exception, type and message, reaches the caller."""
         problem = logistic_problem(9, 30, 4, lam=0.1)
+        seen = []
+
+        class SinkFailed(Exception):
+            pass
 
         def boom(snap):
-            if snap.iter >= 2:
-                raise RuntimeError("sink failed")
+            seen.append(snap.iter)
+            if snap.iter == fail_at:
+                raise SinkFailed(f"sink failed at {snap.iter}")
 
-        with pytest.warns(RuntimeWarning, match="callback"):
-            w, term = run_solver(problem, SolverConfig(grad_tol=1e-8), boom)
-        assert term == "stalled"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning in its place
+            with pytest.raises(SinkFailed, match=f"^sink failed at {fail_at}$"):
+                run_solver(problem, SolverConfig(grad_tol=1e-8), boom)
+        assert seen == list(range(fail_at + 1))
+
+    def test_callback_failure_aborts_cleanly(self):
+        self.fail_callback_at(2)
 
     def test_callback_failure_at_iteration_zero(self):
-        problem = logistic_problem(9, 30, 4, lam=0.1)
-
-        def boom(snap):
-            raise RuntimeError("sink failed")
-
-        with pytest.warns(RuntimeWarning, match="callback"):
-            w, term = run_solver(problem, SolverConfig(), boom)
-        assert term == "stalled"
-        assert np.array_equal(w, np.zeros(problem.dim))
+        self.fail_callback_at(0)
 
     def test_all_methods_agree_on_strictly_convex_instance(self):
         problem = logistic_problem(10, 120, 10, lam=0.05)
