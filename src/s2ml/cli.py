@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, **__: f"s2ml: warning: {message}\n"
     try:
         _apply_config_file(args, parser)
         return _DISPATCH[args.command](args)
@@ -369,6 +372,8 @@ def main(argv=None) -> int:
         # feature index asks for more memory than the address space holds
         print(f"s2ml: error: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

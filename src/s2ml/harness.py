@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, decode_utf8, load_dataset
 from .problems import Problem, ProblemConfig, make_problem
-from .solvers import SolverConfig, run_solver
+from .solvers import SolverConfig, _norm, run_solver
 
 __all__ = [
     "TraceRecord",
@@ -132,8 +132,8 @@ def _reference_point(problem, start=None, grad_norm0=None) -> np.ndarray:
     config, target = _FSTAR_SOLVER, problem
     if start is not None:
         if grad_norm0 is None:
-            grad_norm0 = float(np.linalg.norm(problem.gradient(np.zeros(problem.dim))))
-        g_start = float(np.linalg.norm(problem.gradient(start)))
+            grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
+        g_start = _norm(problem.gradient(start))
         if 0.0 < g_start < grad_norm0:
             # the same absolute stopping point, relative to ||grad f(start)||
             config = replace(_FSTAR_SOLVER,
@@ -197,7 +197,7 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
                         RuntimeWarning, stacklevel=2)
                 elif problem.lam > 0.0 and not problem.add_bias:
                     # f is lam-strongly convex: f* >= f(w) - ||grad f(w)||^2 / (2 lam)
-                    g_start = float(np.linalg.norm(problem.gradient(start)))
+                    g_start = _norm(problem.gradient(start))
                     bound = f_start - g_start * g_start / (2.0 * problem.lam)
                     if bound - value > 1e-12 * abs(value):
                         warnings.warn(

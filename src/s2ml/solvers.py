@@ -96,13 +96,14 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state; confined to a single run."""
+    """Mutable per-run state; confined to a single run. ``tr_radius`` is
+    ``None`` for the line-search methods; :func:`init_state` decides."""
 
     w: np.ndarray
     grad: np.ndarray
     obj: float
     grad_norm0: float
-    tr_radius: float
+    tr_radius: float | None
     rng: np.random.Generator
     batch_size: int
     lbfgs_pairs: LbfgsMemory
@@ -138,7 +139,12 @@ def _ceil_int(x: float) -> int:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean norm that does not underflow to 0; an overflow stays inf."""
+    n = float(np.linalg.norm(v))
+    if n == 0.0 and np.any(v):
+        big = float(np.max(np.abs(v)))
+        n = big * float(np.linalg.norm(v / big))
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def _signbit(x: float) -> bool:
 def _ball_min(T: np.ndarray, gnorm: float, radius: float):
     """Minimize gnorm*e1.h + 0.5 h.T.h over ||h|| <= radius (small dense T).
 
-    Returns ``(h, boundary_active, negative_curvature)``. Solved through an
+    Returns ``(h, negative_curvature)``. Solved through an
     eigendecomposition plus a root find on the boundary multiplier by
     Brent's method (:func:`_brentq`, which matches scipy's ``brentq`` bit
     for bit), with the degenerate (no gradient mass on the lowest
@@ -234,7 +240,7 @@ def _ball_min(T: np.ndarray, gnorm: float, radius: float):
     if lam_min > 0.0:
         h = V @ (-(c / lam))
         if _norm(h) <= radius:
-            return h, False, neg
+            return h, neg
 
     lo = max(0.0, -lam_min)
     eps = 1e-11 * scale
@@ -266,7 +272,7 @@ def _ball_min(T: np.ndarray, gnorm: float, radius: float):
     nh = _norm(h)
     if nh > 0.0:
         h *= radius / nh
-    return h, True, neg
+    return h, neg
 
 
 def _to_boundary(s: np.ndarray, d: np.ndarray, radius: float) -> np.ndarray:
@@ -283,7 +289,8 @@ def _to_boundary(s: np.ndarray, d: np.ndarray, radius: float) -> np.ndarray:
 def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     """Approximately minimize m(s) = g.s + 0.5 s.H.s over ||s|| <= radius.
 
-    ``hv`` supplies Hessian products; H is never formed. Conjugate-gradient
+    Returns ``(s, status, products)``, with ``products`` the number of calls
+    to ``hv``, which supplies Hessian products; H is never formed. CG
     iterations start from s = 0. While the iterates stay interior this is
     plain truncated CG, returning once the residual satisfies
     ``||H s + g|| <= rtol * ||g||`` (status ``"interior"``). When a step
@@ -297,10 +304,11 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
 
     A direction whose curvature is zero, at most 1e-12 of the largest
     Rayleigh quotient d.H.d / d.d seen in this solve, or not a finite number
-    (a Hessian product that overflowed or gave NaN), is a breakdown: from
-    the interior the search follows it to the boundary (status
-    ``"neg_curvature"``); past the boundary it returns the subspace
-    solution it has. ``rtol`` must lie in [0, 1).
+    (a Hessian product that overflowed or gave NaN; status ``"non_finite"``)
+    is a breakdown: from the interior the search follows it to the boundary
+    (status ``"neg_curvature"``); past the boundary it returns the subspace
+    solution it has. An ||g||^2 that underflows to 0 gives the steepest-descent
+    boundary point. ``rtol`` must lie in [0, 1).
 
     The model value of the result never exceeds that of the optimal
     steepest-descent (Cauchy) step.
@@ -314,6 +322,8 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     if gnorm == 0.0:
         raise ValueError("gradient must be nonzero")
     max_iters = max(1, int(max_iters))
+    if float(g @ g) == 0.0:  # no CG recurrence survives an underflowed ||g||^2
+        return -radius * (g / gnorm), "boundary", 0
 
     s = np.zeros_like(g)
     r = g.copy()
@@ -328,17 +338,18 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
     betas: list[float] = []
     basis: list[np.ndarray] = []
 
-    for _ in range(max_iters):
+    for k in range(1, max_iters + 1):
         basis.append((sigma / gamma) * r)
         Hd = hv(d)
         kappa = float(d @ Hd)
         curvature = max(curvature, abs(kappa) / dd)
         if not abs(kappa) > 1e-12 * curvature * dd:
             # breakdown: a step rr / kappa would overflow or mean nothing
+            bad = None if math.isfinite(kappa) else "non_finite"
             if interior:
-                return _to_boundary(s, d, radius), "neg_curvature"
+                return _to_boundary(s, d, radius), bad or "neg_curvature", k
             return (_combine(basis, h, radius),
-                    "neg_curvature" if h_neg else "boundary")
+                    bad or ("neg_curvature" if h_neg else "boundary"), k)
         alpha = rr / kappa
         if interior and (kappa <= 0.0 or _norm(s + alpha * d) >= radius):
             interior = False
@@ -346,17 +357,17 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
             s = s + alpha * d
         alphas.append(alpha)
         r = r + alpha * Hd
-        gamma_next = _norm(r)
-        # with rtol >= 0 a zero residual passes either test, so the
-        # recurrences below never divide by a zero gamma
+        # the plain norm: with rtol >= 0 a residual whose square underflows
+        # reads 0 and passes either test, so the recurrences never divide by 0
+        gamma_next = float(np.linalg.norm(r))
         if interior:
             if gamma_next <= rtol * gnorm:
-                return s, "interior"
+                return s, "interior", k
         else:
-            h, _, h_neg = _ball_min(_tridiag(alphas, betas), gnorm, radius)
+            h, h_neg = _ball_min(_tridiag(alphas, betas), gnorm, radius)
             if gamma_next * abs(float(h[-1])) <= rtol * gnorm:
                 return (_combine(basis, h, radius),
-                        "neg_curvature" if h_neg else "boundary")
+                        "neg_curvature" if h_neg else "boundary", k)
         beta = (gamma_next * gamma_next) / rr
         betas.append(beta)
         d = -r + beta * d
@@ -365,7 +376,7 @@ def steihaug_cg(hv, g, radius: float, rtol: float = 0.1, max_iters: int = 25):
         sigma = -math.copysign(1.0, alpha) * sigma
         gamma = gamma_next
 
-    return (s if interior else _combine(basis, h, radius)), "max_iters"
+    return (s if interior else _combine(basis, h, radius)), "max_iters", max_iters
 
 
 def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarray:
@@ -383,11 +394,10 @@ def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
-            *, cg_iters: int = 0, rows_touched: int = 0,
-            tr_radius: float | None = None) -> IterationSnapshot:
+            *, cg_iters: int = 0, rows_touched: int = 0) -> IterationSnapshot:
     """Commit the trial point ``w_new = state.w + step`` with objective
     ``f_new`` if the step was accepted, else count a rejection; then close
-    the iteration."""
+    the iteration, recording the state's ``tr_radius`` as the step left it."""
     if accepted:
         state.w = w_new
         state.obj = f_new
@@ -399,7 +409,7 @@ def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
     return IterationSnapshot(
         iter=state.iter, w=state.w, objective=state.obj,
         grad_norm=_norm(state.grad), step_accepted=accepted,
-        tr_radius=tr_radius, step_norm=_norm(step) if accepted else 0.0,
+        tr_radius=state.tr_radius, step_norm=_norm(step) if accepted else 0.0,
         cg_iters_used=cg_iters, rows_touched=rows_touched)
 
 
@@ -420,17 +430,9 @@ def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSn
     state.batch_size = min(n, _ceil_int(config.batch_growth * batch))
     g = state.grad
     hv = problem.make_hess_vec(state.w, rows)
-    calls = 0
-
-    def counted(v):
-        nonlocal calls
-        calls += 1
-        return hv(v)
-
-    s, _status = steihaug_cg(counted, g, state.tr_radius,
-                             rtol=config.cg_rtol, max_iters=config.cg_max_iters)
-    cg_iters = calls
-    pred = -(float(g @ s) + 0.5 * float(s @ counted(s)))
+    s, _status, cg_iters = steihaug_cg(hv, g, state.tr_radius, rtol=config.cg_rtol,
+                                       max_iters=config.cg_max_iters)
+    pred = -(float(g @ s) + 0.5 * float(s @ hv(s)))
     snorm = _norm(s)
     f_old = state.obj
     w_new = state.w + s
@@ -463,8 +465,7 @@ def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSn
             state.tr_radius = min(_SIGMA3 * state.tr_radius, _MAX_RADIUS)
 
     return _finish(problem, state, accepted, s, w_new, f_new,
-                   cg_iters=cg_iters, rows_touched=(cg_iters + 1) * batch,
-                   tr_radius=state.tr_radius)
+                   cg_iters=cg_iters, rows_touched=(cg_iters + 1) * batch)
 
 
 tron_step = stron_step  # tron's state holds a full batch (see init_state)
@@ -662,9 +663,10 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     g = problem.gradient(w)
     frac = 1.0 if config.method == "tron" else config.batch0_frac
     batch0 = min(problem.n_rows, max(1, _ceil_int(frac * problem.n_rows)))
+    radius = config.tr_radius0 if config.method in ("tron", "stron") else None
     return SolverState(
         w=w, grad=g, obj=problem.objective(w), grad_norm0=_norm(g),
-        tr_radius=config.tr_radius0, rng=np.random.default_rng(config.rng_seed),
+        tr_radius=radius, rng=np.random.default_rng(config.rng_seed),
         batch_size=batch0, lbfgs_pairs=LbfgsMemory(config.lbfgs_memory))
 
 
@@ -686,9 +688,8 @@ def run_solver(problem, config: SolverConfig, callback=None):
     state = init_state(problem, config)
     snapshot = IterationSnapshot(
         iter=0, w=state.w, objective=state.obj, grad_norm=state.grad_norm0,
-        step_accepted=True,
-        tr_radius=state.tr_radius if config.method in ("tron", "stron") else None,
-        step_norm=0.0, cg_iters_used=0, rows_touched=0)
+        step_accepted=True, tr_radius=state.tr_radius, step_norm=0.0,
+        cg_iters_used=0, rows_touched=0)
     while True:
         if callback is not None:
             callback(snapshot)

@@ -106,7 +106,7 @@ def test_steihaug_oracle_equivalence():
             if np.linalg.norm(g) < 1e-6:
                 continue
             radius = float(rng.uniform(0.1, 3.0))
-            s, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-12, max_iters=10)
+            s, _, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-12, max_iters=10)
             assert np.linalg.norm(s) <= radius + 1e-12
             best = ball_min_brute_force(H, g, radius, grid=400)
             assert abs(model_value(H, g, s) - best) < 1e-6

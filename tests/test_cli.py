@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import os
 import re
@@ -254,6 +255,26 @@ class TestBenchmark:
                 (RuntimeWarning, message) for message in expect]
             assert len(read_trace_csv(out_dir / "traces.csv")["tron"]) == 2
 
+    def test_warning_printed_in_s2ml_form(self, tmp_path, train):
+        # a fresh interpreter, so the warning goes through the default
+        # display rather than pytest's capture
+        src = str(Path(s2ml.data.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "s2ml.cli", "benchmark", "--data", train,
+             "--solver", "tron", "--max-iters", "1", "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        warning, complete = done.stderr.splitlines()
+        assert warning == "s2ml: warning: tron rep 0 stopped: max_iters"
+        assert complete.startswith("s2ml: benchmark complete; ")
+        before = warnings.formatwarning  # main restores the display it replaced
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            assert main(["benchmark", "--data", train, "--solver", "tron",
+                         "--max-iters", "1", "--out-dir", str(tmp_path / "out")]) == 0
+        assert warnings.formatwarning is before
+
     def test_failing_metric_exits_2_without_traces(self, tmp_path, train, test_split,
                                                    capsys, monkeypatch):
         fail_accuracy_at(monkeypatch, 4)
@@ -283,8 +304,9 @@ class TestBenchmark:
 
     def test_gap_svg_only_without_test_data(self, tmp_path, train):
         out_dir = tmp_path / "results"
-        rc = main(["benchmark", "--data", train, "--solver", "lbfgs",
-                   "--max-iters", "5", "--out-dir", str(out_dir)])
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            rc = main(["benchmark", "--data", train, "--solver", "lbfgs",
+                       "--max-iters", "5", "--out-dir", str(out_dir)])
         assert rc == 0
         assert (out_dir / "gap.svg").exists()
         assert not (out_dir / "accuracy.svg").exists()
@@ -294,8 +316,10 @@ class TestBenchmark:
     def test_run_stopped_at_iteration_zero_plots(self, tmp_path, train, stop):
         # one record per run, so every point of the plot sits at one instant
         out_dir = tmp_path / "results"
-        rc = main(["benchmark", "--data", train, "--solver", "tron", *stop,
-                   "--out-dir", str(out_dir)])
+        with (pytest.warns(RuntimeWarning, match="stopped: max_iters")
+              if stop[0] == "--max-iters" else contextlib.nullcontext()):
+            rc = main(["benchmark", "--data", train, "--solver", "tron", *stop,
+                       "--out-dir", str(out_dir)])
         assert rc == 0
         assert len(read_trace_csv(out_dir / "traces.csv")["tron"][0]) == 1
         assert main(["plot", "--data", str(out_dir / "traces.csv"),
@@ -338,8 +362,9 @@ class TestBenchmark:
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"
-        rc = main(["benchmark", "--data", train, "--solver", "stron",
-                   "--max-iters", "4", "--reps", "2", "--out-dir", str(out_dir)])
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            rc = main(["benchmark", "--data", train, "--solver", "stron",
+                       "--max-iters", "4", "--reps", "2", "--out-dir", str(out_dir)])
         assert rc == 0
         traces = read_trace_csv(out_dir / "traces.csv")
         assert len(traces["stron"]) == 2
@@ -357,7 +382,8 @@ class TestBenchmark:
 
         monkeypatch.setattr(Path, "write_text", refuse)
         out_dir = tmp_path / "results"
-        with pytest.warns(RuntimeWarning, match="Permission denied"):
+        with pytest.warns(RuntimeWarning, match="Permission denied"), \
+                pytest.warns(RuntimeWarning, match="stopped: max_iters"):
             rc = main(["benchmark", "--data", train, "--solver", "tron",
                        "--solver", "lbfgs", "--max-iters", "8", "--out-dir", str(out_dir)])
         assert rc == 0
@@ -546,7 +572,8 @@ class TestConfigFile:
             "lambda = 0.05\n"
             "max-iters = 3\n")
         out_dir = tmp_path / "results"
-        rc = main(["benchmark", "--config", str(cfg), "--out-dir", str(out_dir)])
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            rc = main(["benchmark", "--config", str(cfg), "--out-dir", str(out_dir)])
         assert rc == 0
         assert set(read_trace_csv(out_dir / "traces.csv")) == {"tron", "lbfgs"}
 
@@ -554,8 +581,9 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"data = {train}\nsolver = tron\nmax-iters = 3\n")
         out_dir = tmp_path / "results"
-        rc = main(["benchmark", "--config", str(cfg), "--solver", "newton-cg",
-                   "--out-dir", str(out_dir)])
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            rc = main(["benchmark", "--config", str(cfg), "--solver", "newton-cg",
+                       "--out-dir", str(out_dir)])
         assert rc == 0
         assert set(read_trace_csv(out_dir / "traces.csv")) == {"newton-cg"}
 
@@ -681,9 +709,10 @@ class TestFlagGrammar:
 
     def test_valid_combinations_run(self, tmp_path, train):
         out_dir = tmp_path / "r"
-        rc = main(["benchmark", "--data", train, "--solver", "stron",
-                   "--batch0-frac", "0.25", "--batch-growth", "2",
-                   "--cg-max-iters", "10", "--cg-rtol", "0.5",
-                   "--tr-radius0", "2.0", "--seed", "7", "--max-iters", "4",
-                   "--out-dir", str(out_dir)])
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            rc = main(["benchmark", "--data", train, "--solver", "stron",
+                       "--batch0-frac", "0.25", "--batch-growth", "2",
+                       "--cg-max-iters", "10", "--cg-rtol", "0.5",
+                       "--tr-radius0", "2.0", "--seed", "7", "--max-iters", "4",
+                       "--out-dir", str(out_dir)])
         assert rc == 0

@@ -136,7 +136,8 @@ class TestRunExperiment:
             problem=ProblemConfig(kind="logistic", lam=0.1),
             solvers=[SolverConfig(method="tron", max_iters=0)],
             train_path=train)
-        traces = run_experiment(spec)
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            traces = run_experiment(spec)
         assert set(traces) == {"tron"}
         records = traces["tron"][0]
         assert len(records) == 1 and records[0].iter == 0
@@ -218,7 +219,8 @@ class TestRunExperiment:
             solvers=[SolverConfig(method="tron", max_iters=1),
                      SolverConfig(method="tron", max_iters=2)],
             train_path=train)
-        assert set(run_experiment(spec)) == {"tron", "tron-2"}
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            assert set(run_experiment(spec)) == {"tron", "tron-2"}
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         train = write_split(tmp_path, "train.libsvm", small_instance(13, d=4))
@@ -512,7 +514,8 @@ class TestWarmFStar:
                      SolverConfig(method="lbfgs", max_iters=0)],
             train_path=train)
         seen = _spy_run_solver(monkeypatch)
-        run_experiment(spec)
+        with pytest.warns(RuntimeWarning, match="stopped: max_iters"):
+            run_experiment(spec)
         reference = [(p, c) for p, c, cb in seen if cb is None]
         assert len(reference) == 1
         problem, config = reference[0]

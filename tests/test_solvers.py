@@ -13,6 +13,7 @@ import pytest
 from helpers import (QuadraticProblem, ball_min_brute_force, classification_dataset,
                      dense_bfgs_direction, full_row_hess_vec, model_value)
 from s2ml import solvers
+from s2ml.data import Dataset, Features
 from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 from s2ml.solvers import (LbfgsMemory, SolverConfig, SolverState, init_state,
                           lbfgs_direction, lbfgs_step, newton_cg_step, run_solver,
@@ -26,7 +27,8 @@ def make_state(problem, config, w0):
     g = problem.gradient(w)
     return SolverState(w=w, grad=g, obj=problem.objective(w),
                        grad_norm0=float(np.linalg.norm(g)),
-                       tr_radius=config.tr_radius0,
+                       tr_radius=(config.tr_radius0
+                                  if config.method in ("tron", "stron") else None),
                        rng=np.random.default_rng(config.rng_seed),
                        batch_size=problem.n_rows,
                        lbfgs_pairs=deque(maxlen=config.lbfgs_memory))
@@ -98,19 +100,19 @@ def failing_hv(H, bad_call, bad):
 
 class TestSteihaug:
     def test_newton_step_inside_region(self):
-        s, status = steihaug_cg(lambda v: v, np.array([1.0, 0.0]), 10.0)
+        s, status, _ = steihaug_cg(lambda v: v, np.array([1.0, 0.0]), 10.0)
         assert status == "interior"
         assert np.allclose(s, [-1.0, 0.0], atol=1e-15)
 
     def test_newton_step_clipped(self):
-        s, status = steihaug_cg(lambda v: v, np.array([1.0, 0.0]), 0.5)
+        s, status, _ = steihaug_cg(lambda v: v, np.array([1.0, 0.0]), 0.5)
         assert status == "boundary"
         assert np.allclose(s, [-0.5, 0.0], atol=1e-15)
 
     def test_negative_curvature_reaches_disk_minimum(self):
         H = np.diag([1.0, -1.0])
         g = np.array([1.0, 0.1])
-        s, status = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=1e-10, max_iters=10)
+        s, status, _ = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=1e-10, max_iters=10)
         assert status == "neg_curvature"
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
         best = ball_min_brute_force(H, g, 1.0)
@@ -119,7 +121,7 @@ class TestSteihaug:
     def test_iteration_cap_status(self):
         H = np.diag([1.0, 10.0, 100.0])
         g = np.array([1.0, 1.0, 1.0])
-        s, status = steihaug_cg(lambda v: H @ v, g, 1e6, rtol=1e-14, max_iters=1)
+        s, status, _ = steihaug_cg(lambda v: H @ v, g, 1e6, rtol=1e-14, max_iters=1)
         assert status == "max_iters"
         assert np.linalg.norm(s) > 0
         # the cap on the boundary path: the first step already crosses the
@@ -127,7 +129,7 @@ class TestSteihaug:
         radius = 0.01
         cauchy = -radius * math.sqrt(3.0) + 0.5 * radius ** 2 * 111.0 / 3.0
         for max_iters in (1, 2):
-            s, status = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-14,
+            s, status, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-14,
                                     max_iters=max_iters)
             assert status == "max_iters"
             assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
@@ -152,7 +154,7 @@ class TestSteihaug:
         # direction (0, -4.6875, 0) has zero curvature
         H = np.diag([1.0, 0.0, 0.0])
         g = np.array([4.0, 3.0, 0.0])
-        s, status = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
+        s, status, _ = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
         assert status == "boundary"
         assert np.allclose(s, [-0.8, -0.6, 0.0], rtol=0.0, atol=1e-15)
         assert model_value(H, g, s) == pytest.approx(-4.68, rel=1e-15)
@@ -171,7 +173,7 @@ class TestSteihaug:
         # step rr / kappa of 4e31 used to overflow the recurrences
         H = np.diag([1.0, 0.0, 0.0])
         g = np.array([1.0, 1.0, 0.0])
-        s, status = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
+        s, status, _ = steihaug_cg(lambda v: H @ v, g, 1.0, rtol=0.1)
         assert status == "boundary"
         assert np.all(np.isfinite(s))
         assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-15)
@@ -190,7 +192,7 @@ class TestSteihaug:
             if not np.any(g):
                 continue
             radius = float(rng.uniform(0.1, 2.0))
-            s, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=0.1)
+            s, _, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=0.1)
             assert np.all(np.isfinite(s))
             assert np.linalg.norm(s) <= radius * (1 + 1e-12)
             cauchy = self.boundary_cauchy_value(H, g, radius)
@@ -207,24 +209,56 @@ class TestSteihaug:
         g = np.array([1.0, -2.0, 3.0])
         hv, calls = failing_hv(H, bad_call, bad)
         with deadline(5.0):
-            s, status = steihaug_cg(hv, g, radius, rtol=1e-6)
+            s, status, products = steihaug_cg(hv, g, radius, rtol=1e-6)
         assert np.all(np.isfinite(s))
         assert np.linalg.norm(s) <= radius * (1 + 1e-12)
+        assert products == len(calls)
         if len(calls) >= bad_call:  # the bad product came before convergence
-            assert len(calls) == bad_call and status != "interior"
+            assert len(calls) == bad_call and status == "non_finite"
+
+    def test_products_count_every_hessian_call(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            A = rng.normal(size=(d, d))
+            H = 0.5 * (A + A.T)
+            g = rng.normal(size=d)
+            hv, calls = failing_hv(H, math.inf, None)
+            radius = float(rng.uniform(0.05, 4.0))
+            _, _, products = steihaug_cg(hv, g, radius, rtol=1e-4, max_iters=6)
+            assert 1 <= products == len(calls) <= 6
+
+    @pytest.mark.parametrize("g", [np.array([3e-170, -4e-170]), np.full(26, 1.5e-162)],
+                             ids=["both-squares", "sum-of-squares"])
+    def test_underflowing_gradient_square_takes_the_boundary(self, g):
+        # g.g underflows to 0, where the CG recurrences would divide by it;
+        # in the second case ||g||^2 (5.8e-323) does not, but every square does
+        s, status, products = steihaug_cg(lambda v: v, g, 2.0)
+        assert (status, products) == ("boundary", 0)
+        unit = (g / np.abs(g).max()) / np.linalg.norm(g / np.abs(g).max())
+        assert np.allclose(s, -2.0 * unit, rtol=1e-15, atol=0.0)
+
+    def test_underflowing_residual_stops_the_solve(self):
+        # ||g|| is about 5e-157; the residual falls below 1e-162, where its
+        # square underflows, and the solve returns there instead of dividing
+        # by that square
+        H = np.diag(np.logspace(0, 3, 25))
+        g = np.random.default_rng(3).normal(size=25) * 1e-157
+        s, status, _ = steihaug_cg(lambda v: H @ v, g, 10.0, rtol=1e-8, max_iters=50)
+        assert status == "interior" and np.all(np.isfinite(s))
 
     def test_ball_min_tiny_radius_doubles_the_bracket(self):
         # radius / ||g|| = 1e-28: the first upper bracket still gives a step
         # longer than the radius, so the bracket is doubled before the root find
-        h, boundary, neg = solvers._ball_min(np.array([[1.0]]), 1.0, 1e-28)
-        assert boundary and not neg
+        h, neg = solvers._ball_min(np.array([[1.0]]), 1.0, 1e-28)
+        assert not neg
         assert np.linalg.norm(h) == pytest.approx(1e-28, rel=1e-15)
 
     def test_extreme_radius_scales(self):
         H = np.diag([2.0, 0.5])
         g = np.array([1.0, -3.0])
         for radius in (1e-12, 1e-3, 1.0, 1e9):
-            s, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-10, max_iters=10)
+            s, _, _ = steihaug_cg(lambda v: H @ v, g, radius, rtol=1e-10, max_iters=10)
             assert np.all(np.isfinite(s))
             assert np.linalg.norm(s) <= radius * (1 + 1e-12)
 
@@ -241,7 +275,7 @@ class TestSteihaug:
                 continue
             radius = float(rng.uniform(0.05, 4.0))
             rtol = float(rng.choice([0.5, 0.1, 1e-4]))
-            s, status = steihaug_cg(lambda v: H @ v, g, radius,
+            s, status, _ = steihaug_cg(lambda v: H @ v, g, radius,
                                     rtol=rtol, max_iters=25)
             assert np.linalg.norm(s) <= radius + 1e-12
             # Cauchy point: best step along -g inside the ball
@@ -640,6 +674,51 @@ class TestRunSolver:
 
     def test_callback_failure_at_iteration_zero(self):
         self.fail_callback_at(0)
+
+    @pytest.mark.parametrize("method", ["tron", "stron"])
+    def test_nan_hessian_stalls(self, method):
+        # every solve breaks down at its first product and returns a finite
+        # boundary step, which the ratio test rejects; the radius halves but
+        # stays positive, so the run stalls and raises nothing
+        class NanHessian(QuadraticProblem):
+            def make_hess_vec(self, w, rows=None):
+                return NON_FINITE["nan"]
+
+        problem = NanHessian(np.diag([1.0, 5.0, 30.0]), c=[1.0, -2.0, 3.0])
+        snaps = []
+        with deadline(5.0):
+            w, term = run_solver(problem, SolverConfig(method=method), snaps.append)
+        assert term == "stalled" and not np.any(w)
+        assert all(not s.step_accepted and s.cg_iters_used == 1 and s.tr_radius > 0.0
+                   for s in snaps[1:])
+
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-150, 1.0,
+                                       1e150, 1e200, 1e300])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_feature_scale_never_misreports(self, kind, scale):
+        # at 1e-200 the plain ||grad f(0)|| underflows to 0, and every method
+        # used to report "converged" at iteration 0
+        def scaled_norm(v):
+            big = float(np.max(np.abs(v)))
+            return big * float(np.linalg.norm(v / big)) if big > 0.0 else 0.0
+
+        base = classification_dataset(np.random.default_rng(5), 50, 5, 5)
+        X = base.features
+        data = Dataset(Features((X.data * scale, X.indices, X.indptr), shape=X.shape),
+                       base.labels)
+        problem = make_problem(ProblemConfig(kind=kind, lam=1e-4), data)
+        g0 = scaled_norm(problem.gradient(np.zeros(problem.dim)))
+        for method in solvers.METHODS:
+            config = SolverConfig(method=method, max_iters=100)
+            with deadline(10.0):
+                w, term = run_solver(problem, config)
+            g = problem.gradient(w)
+            if term == "converged":
+                assert g0 > 0.0 and scaled_norm(g) <= config.grad_tol * g0
+            if term == "non_finite":
+                assert not (math.isfinite(problem.objective(w))
+                            and math.isfinite(np.linalg.norm(g)))
 
     def test_all_methods_agree_on_strictly_convex_instance(self):
         problem = logistic_problem(10, 120, 10, lam=0.05)
