@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LibsvmParseError, decode_utf8, load_dataset
+from .data import LibsvmParseError, decode_utf8
 from .harness import (ConvergenceError, ExperimentSpec, compute_f_star,
-                      read_trace_csv, render_convergence_svg, run_experiment,
-                      write_trace_csv)
+                      load_rows, read_trace_csv, render_convergence_svg,
+                      run_experiment, write_trace_csv)
 from .problems import PROBLEM_KINDS, ProblemConfig, make_problem
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -227,6 +227,10 @@ def _apply_config_file(args, parser) -> None:
             converted = convert(value)
         except ValueError as exc:
             raise _UsageError(f"{args.config}:{lineno}: {exc}") from None
+        if action.choices is not None and converted not in action.choices:
+            raise _UsageError(
+                f"{args.config}:{lineno}: {key} = {value!r} is not one of "
+                f"{', '.join(action.choices)}")
         if isinstance(action, argparse._AppendAction):
             from_file.setdefault(action.dest, []).append(converted)
         else:
@@ -285,7 +289,7 @@ def _write_plots(traces, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    data = load_dataset(_require_data(args))
+    data = load_rows(_require_data(args))
     pcfg = _config(ProblemConfig, args)
     problem = make_problem(pcfg, data)
     scfg = _config(SolverConfig, args, method=args.solver)
@@ -324,7 +328,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_fstar(args) -> int:
     path = _require_data(args)
-    data = load_dataset(path)
+    data = load_rows(path)
     problem = make_problem(_config(ProblemConfig, args), data)
     value = compute_f_star(problem, cache_dir=Path(path).parent)
     print(f"{value:.17g}")
@@ -360,7 +364,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         message = _name_flag(str(exc), parser.commands[args.command])
-        print(parser.format_usage().rstrip(), file=sys.stderr)
+        print(parser.commands[args.command].format_usage().rstrip(), file=sys.stderr)
         print(f"s2ml: error: {message}", file=sys.stderr)
         return 1
     except (OSError, LibsvmParseError, ModelFormatError, ConvergenceError,

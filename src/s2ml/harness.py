@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentSpec",
     "ConvergenceError",
     "CSV_HEADER",
+    "load_rows",
     "dataset_digest",
     "compute_f_star",
     "run_experiment",
@@ -85,6 +86,15 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if not self.solvers:
             raise ValueError("at least one solver is required")
+
+
+def load_rows(path, n_cols_hint: int | None = None) -> Dataset:
+    """:func:`load_dataset`, refusing a file with no data rows (empty or
+    comments only) with an error that starts with the path."""
+    data = load_dataset(path, n_cols_hint)
+    if data.n_rows == 0:
+        raise ValueError(f"{path}: no data rows")
+    return data
 
 
 def dataset_digest(data: Dataset) -> str:
@@ -279,11 +289,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
     and every record's gap is filled in from it. A run that does not
     converge warns, naming the solver, the repetition and the termination.
     """
-    train = load_dataset(spec.train_path)
+    train = load_rows(spec.train_path)
     problem = make_problem(spec.problem, train)
     test = None
     if spec.test_path is not None:
-        test = load_dataset(spec.test_path, n_cols_hint=train.n_cols)
+        test = load_rows(spec.test_path, n_cols_hint=train.n_cols)
         if test.n_cols != train.n_cols:
             raise ValueError(
                 f"test data has {test.n_cols} feature columns, train has {train.n_cols}")

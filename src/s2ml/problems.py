@@ -4,11 +4,13 @@ A problem binds an immutable dataset and exposes the objective value,
 gradient, Hessian-vector product, and prediction accuracy that the solvers
 consume. Losses are averaged over the evaluated rows (so a row batch is an
 unbiased estimate of the full mean); the L2 penalty ``0.5 * lam * ||w||^2``
-is always added in full and never touches the bias coordinate. Evaluations
-are pure functions of their arguments, reproducible bit for bit on one
-machine with one BLAS build and BLAS thread count: dense dot products go
-through BLAS, which splits long reductions (about 20k entries and up) over
-its threads.
+is always added in full and never touches the bias coordinate: the bias is
+one more feature, a last column of ones in a copy of the features that the
+problem builds once (the dataset's matrix is left as it is), so only the
+penalty knows where it is. Evaluations are pure functions of their
+arguments, reproducible bit for bit on one machine with one BLAS build and
+BLAS thread count: dense dot products go through BLAS, which splits long
+reductions (about 20k entries and up) over its threads.
 
 A problem remembers the full-data margins ``y * (X @ w)`` at the last point
 it was called with, keyed by a copy of w's bit pattern, and the full-data
@@ -28,10 +30,10 @@ or Hessian-vector product rebuilds scipy's CSC wrapper per call. The
 Hessian-vector operator multiplies only the active rows, those with nonzero
 curvature (for the squared hinge, margin < 1), once they are at most
 ``GATHER_MAX_ACTIVE`` of the evaluated rows: it binds a gathered copy of
-them when it is built. A dropped row adds only ``val * 0 = +-0`` to each
-sum and the kept rows keep their order, so the products are bit-identical
-to the all-row ones on finite data; the bias entry is summed in all-row
-order for the same reason. The one edge case that changes is not a
+them when it is built. Every entry of ``X.T @ u``, the bias entry too, is a
+sum over the rows in order; a dropped row adds only ``val * 0 = +-0`` to it
+and the kept rows keep their order, so the products are bit-identical to
+the all-row ones on finite data. The one edge case that changes is not a
 regression: a non-finite ``X @ v`` on an inactive row used to give NaN
 (``0 * inf``) and is now skipped. The solvers' ``rows_touched`` still counts
 every row of the batch, active or not.
@@ -46,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset
 
@@ -107,8 +110,15 @@ class Problem:
         self.data = data
         self.lam = float(config.lam) if config.lam is not None else 1.0 / data.n_rows
         self.add_bias = config.add_bias
-        self._X = data.features
-        self._XT = self._X.T  # bound once: X.T builds a new CSC wrapper per call
+        X = data.features
+        if self.add_bias:  # a copy with a last column of ones; data.features is kept
+            n, d = X.shape
+            ends = X.indptr[1:]
+            X = sp.csr_matrix((np.insert(X.data, ends, 1.0), np.insert(X.indices, ends, d),
+                               X.indptr.astype(np.int64) + np.arange(n + 1)),
+                              shape=(n, d + 1))
+        self._X = X
+        self._XT = X.T  # bound once: X.T builds a new CSC wrapper per call
         self._y = data.labels.astype(np.float64)
         self._memo = None  # [bits of w, margins, full-data gradient or None]
 
@@ -125,11 +135,11 @@ class Problem:
         return self.data.n_cols + (1 if self.add_bias else 0)
 
     def _eval(self, w, rows):
-        """Check the rows, split off the bias and return ``(rows, y, wf, m)``:
-        y and the memoized margins m = y * (X @ wf + bias) (see the module
-        docstring), both sliced to the rows."""
+        """Check the rows and return ``(rows, y, wf, m)``: y and the
+        memoized margins m = y * (X @ w) (see the module docstring), both
+        sliced to the rows, and wf, the penalized part of w."""
         w = np.asarray(w, dtype=np.float64)
-        wf, b = self._split(w)
+        wf, _ = self._split(w)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim != 1 or rows.size == 0:
@@ -139,13 +149,14 @@ class Problem:
         bits = w.view(np.uint64)
         if self._memo is None or not np.array_equal(self._memo[0], bits):
             self._memo = None  # free the old margins before computing new ones
-            m = self._y * (self._X @ wf + b)
+            m = self._y * (self._X @ w)
             m.flags.writeable = False
             self._memo = [bits.copy(), m, None]
         sel = slice(None) if rows is None else rows
         return rows, self._y[sel], wf, self._memo[1][sel]
 
     def _split(self, w):
+        """Check w's length; ``(penalized feature weights, bias or 0.0)``."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.dim,):
             raise ValueError(f"expected weight vector of length {self.dim}, "
@@ -169,9 +180,8 @@ class Problem:
             return self._memo[2]
         c = self._dmargin(m) * y / m.size
         XT = self._XT if rows is None else self._X[rows].T
-        g = XT @ c + self.lam * wf
-        if self.add_bias:
-            g = np.concatenate([g, [c.sum()]])
+        g = XT @ c
+        g[:wf.size] += self.lam * wf
         if rows is None:
             g.flags.writeable = False
             self._memo[2] = g
@@ -191,30 +201,17 @@ class Problem:
         rows, _, _, m = self._eval(w, rows)
         h = self._curvature(m) / m.size
         active = np.flatnonzero(h)
-        gathered = active.size <= GATHER_MAX_ACTIVE * h.size
-        if gathered:  # from here on, rows are the rows the operator multiplies
+        if active.size <= GATHER_MAX_ACTIVE * h.size:
+            # from here on, rows are the rows the operator multiplies
             rows, h = (active if rows is None else rows[active]), h[active]
         X = self._X if rows is None else self._X[rows]  # the one gather
         XT = self._XT if rows is None else X.T
         lam = self.lam
-        bias = self.add_bias
-        n = m.size
 
         def hess_vec(v):
-            vf, vb = self._split(v)
-            t = X @ vf
-            if bias:
-                t = t + vb
-            u = h * t
-            out = XT @ u + lam * vf
-            if bias:
-                if gathered:
-                    # numpy's pairwise sum groups a shorter array differently,
-                    # so sum in all-row order to keep the all-row sum's bits
-                    u_all = np.zeros(n)
-                    u_all[active] = u
-                    u = u_all
-                return np.concatenate([out, [u.sum()]])
+            vf, _ = self._split(v)
+            out = XT @ (h * (X @ v))
+            out[:vf.size] += lam * vf
             return out
 
         return hess_vec

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gzip
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from s2ml.data import Dataset, dataset_from_rows
@@ -117,24 +118,23 @@ def fail_accuracy_at(monkeypatch, call: int) -> list:
 
 def full_row_hess_vec(problem, w, rows=None):
     """A problem's Hessian-vector operator over every evaluated row, straight
-    from H v = X' diag(curvature) X v / n + lam v (bias entry included): the
-    reference the active-row operator must match bit for bit."""
+    from H v = X' diag(curvature) X v / n + lam v_f: the reference the
+    active-row operator must match bit for bit. With a bias, X gains a last
+    column of ones (built here by ``sp.hstack``) and the penalty skips it."""
     X = problem.data.features
+    if problem.add_bias:
+        X = sp.hstack([X, np.ones((X.shape[0], 1))], format="csr")
     if rows is not None:
         X = X[rows]
     m = problem.margins(w, rows)
     h = problem._curvature(m) / m.size
-    bias = problem.add_bias
+    n_cols = problem.data.n_cols
 
     def hess_vec(v):
         v = np.asarray(v, dtype=np.float64)
-        vf = v[:-1] if bias else v
-        t = X @ vf
-        if bias:
-            t = t + float(v[-1])
-        u = h * t
-        out = X.T @ u + problem.lam * vf
-        return np.concatenate([out, [u.sum()]]) if bias else out
+        out = X.T @ (h * (X @ v))
+        out[:n_cols] += problem.lam * v[:n_cols]
+        return out
 
     return hess_vec
 

@@ -155,6 +155,19 @@ class TestTrain:
         assert rc == 1
         assert "--data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "fstar"])
+    def test_file_without_rows_names_the_file(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("# no rows\n")
+        assert main([command, "--data", str(empty)]) == 2
+        assert capsys.readouterr().err == f"s2ml: error: {empty}: no data rows\n"
+
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_usage_error_prints_the_subcommand_usage(self, train, capsys, with_data):
+        rc = main(["train", *(["--data", train] if with_data else []), "--max-iters", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage: s2ml train ")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.libsvm")])
         assert rc == 2
@@ -359,6 +372,20 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == f"s2ml: error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("text", [b"", b"# comments only\n\n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize("flag", ["--data", "--test-data"])
+    def test_file_without_rows_is_refused_before_any_run(self, tmp_path, train, test_split,
+                                                         capsys, flag, text):
+        empty = tmp_path / "empty.libsvm"
+        empty.write_bytes(text)
+        paths = {"--data": train, "--test-data": test_split, flag: str(empty)}
+        out_dir = tmp_path / "out"
+        rc = main(["benchmark", *(x for item in paths.items() for x in item),
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"s2ml: error: {empty}: no data rows\n"
+        assert not out_dir.exists()
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"
@@ -634,6 +661,18 @@ class TestConfigFile:
         cfg.write_text("lambda = abc\n")
         rc = main(["train", "--config", str(cfg), "--data", train])
         assert rc == 1
+
+    @pytest.mark.parametrize("key, choices", [("solver", "tron, stron, newton-cg, lbfgs"),
+                                              ("problem", "logistic, svm-l2")])
+    def test_value_outside_the_choices_names_the_line(self, tmp_path, train, capsys,
+                                                      key, choices):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"max-iters = 2\n{key} = foo\n")
+        rc = main(["train", "--config", str(cfg), "--data", train])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: s2ml train ")
+        assert err.endswith(f"s2ml: error: {cfg}:2: {key} = 'foo' is not one of {choices}\n")
 
     def test_train_uses_last_config_solver(self, tmp_path, train, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -6,6 +6,7 @@ import pytest
 from helpers import (CountingMatrix, fd_gradient, fd_hess_vec, full_row_hess_vec,
                      random_dataset)
 from s2ml.data import dataset_from_rows
+from s2ml.harness import dataset_digest
 from s2ml.problems import GATHER_MAX_ACTIVE, ProblemConfig, make_problem
 
 LN2 = 0.6931471805599453
@@ -140,6 +141,29 @@ class TestGradient:
         assert np.allclose(g, fd, atol=1e-6)
         # objective must not include the bias in the penalty
         assert problem.objective(w) < 10.0
+
+    def test_bias_column_leaves_the_data_and_the_penalty_alone(self):
+        # the problem multiplies a copy of the features with a last column of
+        # ones; the dataset's arrays and digest stay as they were, and the
+        # gradient's and Hv's bias entries carry no lam term
+        rng = np.random.default_rng(7)
+        data = random_dataset(rng, 30, 5)
+        X = data.features
+        before = [arr.copy() for arr in (X.indptr, X.indices, X.data)]
+        digest = dataset_digest(data)
+        lam = 0.3
+        problem, free = (make_problem(ProblemConfig(kind="svm-l2", lam=value, add_bias=True),
+                                      data) for value in (lam, 0.0))
+        w, v = rng.normal(size=6), rng.normal(size=6)
+        g, g_free = problem.gradient(w), free.gradient(w)
+        hv, hv_free = problem.make_hess_vec(w)(v), free.make_hess_vec(w)(v)
+        assert problem.data.features is X
+        for arr, old in zip((X.indptr, X.indices, X.data), before):
+            assert arr.dtype == old.dtype and np.array_equal(arr, old)
+        assert dataset_digest(data) == digest
+        assert g[-1] == g_free[-1] and hv[-1] == hv_free[-1]
+        assert np.allclose(g[:-1] - g_free[:-1], lam * w[:-1], rtol=1e-12, atol=1e-15)
+        assert np.allclose(hv[:-1] - hv_free[:-1], lam * v[:-1], rtol=1e-12, atol=1e-15)
 
     def test_batch_gradient(self):
         rng = np.random.default_rng(6)

@@ -775,8 +775,9 @@ def trajectory_sha256(problem, config):
 class TestActiveRowTrajectories:
     def test_bias_trajectories_match_the_full_row_operator(self):
         # The squared-hinge Hv gathers the rows with margin < 1; its bias
-        # entry must still be the all-row sum's bits. Summing the gathered
-        # entries alone regroups numpy's pairwise sum and moves these hashes.
+        # entry, a sequential sum down the ones column, must keep the bits of
+        # the all-row operator over an independently built [X, 1], because an
+        # inactive row only adds +-0 to that sum.
         rng = np.random.default_rng(41)
         data = classification_dataset(rng, 400, 12, 8)
         config = ProblemConfig(kind="svm-l2", lam=1e-3, add_bias=True)
