@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LibsvmParseError, decode_utf8
+from .data import LibsvmParseError, decode_utf8, load_dataset
 from .harness import (ConvergenceError, ExperimentSpec, compute_f_star,
-                      load_rows, read_trace_csv, render_convergence_svg,
-                      run_experiment, write_trace_csv)
+                      read_trace_csv, render_convergence_svg, run_experiment,
+                      write_trace_csv)
 from .problems import PROBLEM_KINDS, ProblemConfig, make_problem
 from .solvers import METHODS, SolverConfig, run_solver
 
@@ -195,19 +195,20 @@ def _long_flags(command_parser) -> dict[str, argparse.Action]:
             if opt.startswith("--") and opt not in ("--help", "--config")}
 
 
-def _apply_config_file(args, parser) -> None:
+def _apply_config_file(args, parser) -> dict[str, str]:
     """Fill unset flags from a ``key = value`` file; explicit flags win.
 
     Keys are the long flag names of the subcommand. The file reads like
     flags given in order: a repeatable flag collects every value, any
-    other flag keeps the last one.
+    other flag keeps the last one. Returns, for each dest it filled, the
+    ``<file>:<line>: <key>`` that set it.
     """
     if getattr(args, "config", None) is None:
-        return
+        return {}
     flags = {name: _long_flags(p) for name, p in parser.commands.items()}
     text = decode_utf8(Path(args.config).read_bytes(), lambda message, lineno:
                        _UsageError(f"{args.config}:{lineno}: {message}"))
-    from_file: dict = {}
+    from_file, where = {}, {}  # dest -> value, dest -> "<file>:<line>: <key>"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,18 +236,21 @@ def _apply_config_file(args, parser) -> None:
             from_file.setdefault(action.dest, []).append(converted)
         else:
             from_file[action.dest] = converted
-    for dest, value in from_file.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        where[action.dest] = f"{args.config}:{lineno}: {key}"
+    filled = [dest for dest in from_file if getattr(args, dest) is None]
+    for dest in filled:
+        setattr(args, dest, from_file[dest])
+    return {dest: where[dest] for dest in filled}
 
 
-def _name_flag(message: str, command_parser) -> str:
-    """Config dataclasses start an error with the field name; flags whose
-    dest equals that name are reported by their option string instead."""
+def _name_flag(message: str, command_parser, where: dict[str, str]) -> str:
+    """Config dataclasses start an error with the field name; a flag whose
+    dest is that name is reported by the config line that set it (``where``)
+    or else by its option string."""
     field, _, rest = message.partition(" ")
     for opt, action in _long_flags(command_parser).items():
         if action.dest == field:
-            return f"--{opt} {rest}"
+            return f"{where.get(field, '--' + opt)} {rest}"
     return message
 
 
@@ -273,6 +277,13 @@ def _require_data(args):
     return args.data
 
 
+def _check_parent_dir(path: Path) -> None:
+    """Refuse, creating nothing, an output file path below a regular file."""
+    existing = next(p for p in path.parents if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{path}: {existing} is not a directory")
+
+
 def _write_plots(traces, out_dir: Path) -> list[str]:
     """Write gap.svg, plus accuracy.svg when the traces carry test accuracy."""
     paths = [out_dir / "gap.svg"]
@@ -289,7 +300,9 @@ def _write_plots(traces, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    data = load_rows(_require_data(args))
+    path, out = _require_data(args), _get(args, "out")
+    _check_parent_dir(Path(out))
+    data = load_dataset(path)
     pcfg = _config(ProblemConfig, args)
     problem = make_problem(pcfg, data)
     scfg = _config(SolverConfig, args, method=args.solver)
@@ -299,7 +312,6 @@ def _cmd_train(args) -> int:
               "gradient norm (feature values too large?); no model written",
               file=sys.stderr)
         return 2
-    out = _get(args, "out")
     write_model(out, w, ProblemConfig(kind=pcfg.kind, lam=problem.lam,
                                       add_bias=pcfg.add_bias))
     print(f"s2ml: {scfg.method} finished ({termination}); "
@@ -316,8 +328,9 @@ def _cmd_benchmark(args) -> int:
         solvers=tuple(_config(SolverConfig, args, method=m)
                       for m in args.solver or [None]),
         test_path=args.test_data)
-    traces = run_experiment(spec)
     out_dir = Path(_get(args, "out_dir"))
+    _check_parent_dir(out_dir / "traces.csv")
+    traces = run_experiment(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "traces.csv"
     write_trace_csv(traces, csv_path)
@@ -328,7 +341,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_fstar(args) -> int:
     path = _require_data(args)
-    data = load_rows(path)
+    data = load_dataset(path)
     problem = make_problem(_config(ProblemConfig, args), data)
     value = compute_f_star(problem, cache_dir=Path(path).parent)
     print(f"{value:.17g}")
@@ -359,11 +372,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_, **__: f"s2ml: warning: {message}\n"
+    where: dict[str, str] = {}
     try:
-        _apply_config_file(args, parser)
+        where = _apply_config_file(args, parser)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
-        message = _name_flag(str(exc), parser.commands[args.command])
+        message = _name_flag(str(exc), parser.commands[args.command], where)
         print(parser.commands[args.command].format_usage().rstrip(), file=sys.stderr)
         print(f"s2ml: error: {message}", file=sys.stderr)
         return 1

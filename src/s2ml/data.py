@@ -422,15 +422,17 @@ def load_dataset(path, n_cols_hint: int | None = None) -> Dataset:
     Label "0" is accepted and mapped to -1 (one warning per file). A
     malformed file raises :class:`LibsvmParseError`, a byte that is not
     UTF-8 included, whose message starts with the path and then the
-    offending 1-based line number; a truncated or corrupt gzip file raises
-    ``gzip.BadGzipFile`` naming the path. The file is read once and parsed
-    one block of lines at a time: a block in plain form takes the
-    vectorized parse and any other the line parser; both give the same
-    Dataset.
+    offending 1-based line number; so does, without one, a file with no
+    data rows. A truncated or corrupt gzip file raises ``gzip.BadGzipFile``
+    naming the path. The file is read once and parsed one block of lines
+    at a time: a block in plain form takes the vectorized parse and any
+    other the line parser; both give the same Dataset.
     """
     path = Path(path)
     try:  # the bytes are freed when _parse returns, before the join
         ds, zero_seen = _join(_parse(_read(path)), n_cols_hint)
+        if ds.n_rows == 0:
+            raise LibsvmParseError("no data rows")
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut short or corrupt
         raise gzip.BadGzipFile(f"{path}: {exc}") from exc
     except ValueError as exc:  # the error keeps its type and line number

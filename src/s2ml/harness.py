@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentSpec",
     "ConvergenceError",
     "CSV_HEADER",
-    "load_rows",
     "dataset_digest",
     "compute_f_star",
     "run_experiment",
@@ -88,15 +87,6 @@ class ExperimentSpec:
             raise ValueError("at least one solver is required")
 
 
-def load_rows(path, n_cols_hint: int | None = None) -> Dataset:
-    """:func:`load_dataset`, refusing a file with no data rows (empty or
-    comments only) with an error that starts with the path."""
-    data = load_dataset(path, n_cols_hint)
-    if data.n_rows == 0:
-        raise ValueError(f"{path}: no data rows")
-    return data
-
-
 def dataset_digest(data: Dataset) -> str:
     """Content hash of a dataset (shape, structure, values, labels), with
     the index arrays cast to int64 so that their dtype never moves it."""
@@ -134,11 +124,66 @@ class _Shifted:
         return self._problem.make_hess_vec(self._start + z, rows)
 
 
-def _reference_point(problem, start=None, grad_norm0=None) -> np.ndarray:
-    """A point w with ||grad f(w)|| <= 1e-12 ||grad f(0)||, by the reference
-    tron run: warm from ``start`` when its gradient norm is finite, nonzero
-    and below the one at 0 (``grad_norm0``, evaluated here when not given),
-    else cold from 0. Raises ConvergenceError."""
+def _unusable(problem, text: str, start) -> str | None:
+    """Why the cached f* ``text`` cannot be the optimum, or None: it is no
+    finite number, or, given ``start``, lies above f(start) or (lam > 0 and
+    no bias, so f is lam-strongly convex) below ``f(start) - ||grad
+    f(start)||^2 / (2 lam)``, by more than 1e-12 of its magnitude."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        return "is not a finite number"
+    if start is None:
+        return None
+    f_start = float(problem.objective(start))
+    if value - f_start > 1e-12 * abs(value):
+        return f"lies above the objective {f_start:.17g} of a solver iterate"
+    if problem.lam > 0.0 and not problem.add_bias:
+        g_start = _norm(problem.gradient(start))
+        bound = f_start - g_start * g_start / (2.0 * problem.lam)
+        if bound - value > 1e-12 * abs(value):
+            return f"lies below the lower bound {bound:.17g} of a solver iterate"
+    return None
+
+
+def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> float:
+    """Reference optimum of the problem, cached by dataset digest and config.
+
+    Runs the trust-region Newton solver until ``||grad f(w)|| <= 1e-12
+    ||grad f(0)||``, from ``start`` when that point's gradient norm is
+    finite, nonzero and below the one at 0 (the best iterate of the
+    benchmarked solvers, say), else from 0. ``grad_norm0``, when given, is
+    taken as ``||grad f(0)||`` (a solver's iteration-0 record holds it);
+    else it is evaluated. The objective is strongly convex for lam > 0, so
+    the certificate does not depend on the start, which only shortens the
+    run. Raises :class:`ConvergenceError` if the run does not converge.
+
+    With ``cache_dir`` (and a :class:`Problem` built on a :class:`Dataset`,
+    whose digest keys the file) the value is kept in ``<digest>.fstar`` at
+    17 significant digits. A cached value that can be the optimum is
+    returned; a missing one is computed and written; one that cannot be
+    (see :func:`_unusable`) draws one ``RuntimeWarning`` naming the file and
+    the reason, then is computed and written as if missing. The file is
+    replaced atomically; a directory that takes no new file (read-only, say)
+    draws a ``RuntimeWarning`` naming the path and its error, and the value
+    is returned uncached.
+    """
+    cache_path = None
+    if cache_dir is not None:
+        key = (dataset_digest(problem.data), problem.kind, float(problem.lam),
+               bool(problem.add_bias))
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()
+        cache_path = Path(cache_dir) / f"{digest}.fstar"
+        if cache_path.exists():
+            # bytes that are not UTF-8 become lone surrogates, which float() rejects
+            text = cache_path.read_text(encoding="utf-8", errors="surrogateescape").strip()
+            why = _unusable(problem, text, start)
+            if why is None:
+                return float(text)
+            warnings.warn(f"{cache_path}: cached f* {text!r} {why}; recomputing",
+                          RuntimeWarning, stacklevel=2)
     config, target = _FSTAR_SOLVER, problem
     if start is not None:
         if grad_norm0 is None:
@@ -154,69 +199,7 @@ def _reference_point(problem, start=None, grad_norm0=None) -> np.ndarray:
         raise ConvergenceError(
             f"reference optimum did not converge (termination={termination}); "
             "increase the regularization weight or the iteration cap")
-    return w if target is problem else start + w
-
-
-def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> float:
-    """Reference optimum of the problem, cached by dataset digest and config.
-
-    Runs the trust-region Newton solver until ``||grad f(w)|| <= 1e-12
-    ||grad f(0)||``, from ``start`` when that point's gradient norm is
-    finite, nonzero and below the one at 0 (the best iterate of the
-    benchmarked solvers, say), else from 0. ``grad_norm0``, when given, is
-    taken as ``||grad f(0)||`` (a solver's iteration-0 record holds it);
-    else it is evaluated. The objective is strongly convex for lam > 0, so
-    the certificate does not depend on the start, which only shortens the
-    run. When ``cache_dir`` is given the value is persisted as
-    ``<digest>.fstar`` (17 significant digits) and reused on later calls;
-    the file is replaced atomically, so a reader never sees a partial one.
-    A directory that takes no new file (read-only, say) draws a
-    ``RuntimeWarning`` naming the path and its error, and the value is
-    returned uncached. ``cache_dir`` needs a :class:`Problem` built on a
-    :class:`Dataset`, whose digest keys the file. A cached value above
-    ``f(start)`` by more than 1e-12 of its magnitude cannot be the optimum,
-    and draws a ``RuntimeWarning`` that names the file; so does, when lam >
-    0 and there is no bias (f is then lam-strongly convex), one below the
-    bound ``f(start) - ||grad f(start)||^2 / (2 lam)`` by more than that.
-    A cached value that is not a finite number raises ``ValueError`` naming
-    the file. Raises :class:`ConvergenceError` if the run does not converge.
-    """
-    cache_path = None
-    if cache_dir is not None:
-        key = (dataset_digest(problem.data), problem.kind, float(problem.lam),
-               bool(problem.add_bias))
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        cache_path = Path(cache_dir) / f"{digest}.fstar"
-        if cache_path.exists():
-            # bytes that are not UTF-8 become lone surrogates, which float() rejects
-            text = cache_path.read_text(encoding="utf-8", errors="surrogateescape").strip()
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{cache_path}: cached f* {text!r} is not a finite "
-                                 "number; delete the file to recompute")
-            if start is not None:
-                f_start = float(problem.objective(start))
-                if value - f_start > 1e-12 * abs(value):
-                    warnings.warn(
-                        f"{cache_path}: cached f* {value:.17g} lies above the "
-                        f"objective {f_start:.17g} of a solver iterate; the "
-                        "cache is stale, delete it to recompute",
-                        RuntimeWarning, stacklevel=2)
-                elif problem.lam > 0.0 and not problem.add_bias:
-                    # f is lam-strongly convex: f* >= f(w) - ||grad f(w)||^2 / (2 lam)
-                    g_start = _norm(problem.gradient(start))
-                    bound = f_start - g_start * g_start / (2.0 * problem.lam)
-                    if bound - value > 1e-12 * abs(value):
-                        warnings.warn(
-                            f"{cache_path}: cached f* {value:.17g} lies below "
-                            f"the lower bound {bound:.17g} that a solver "
-                            "iterate's gradient gives; the cache is stale, "
-                            "delete it to recompute", RuntimeWarning, stacklevel=2)
-            return value
-    value = float(problem.objective(_reference_point(problem, start, grad_norm0)))
+    value = float(problem.objective(w if target is problem else start + w))
     if cache_path is not None:
         _write_atomic(cache_path, f"{value:.17g}\n")
     return value
@@ -289,11 +272,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[list[TraceRecord]]]:
     and every record's gap is filled in from it. A run that does not
     converge warns, naming the solver, the repetition and the termination.
     """
-    train = load_rows(spec.train_path)
+    train = load_dataset(spec.train_path)
     problem = make_problem(spec.problem, train)
     test = None
     if spec.test_path is not None:
-        test = load_rows(spec.test_path, n_cols_hint=train.n_cols)
+        test = load_dataset(spec.test_path, n_cols_hint=train.n_cols)
         if test.n_cols != train.n_cols:
             raise ValueError(
                 f"test data has {test.n_cols} feature columns, train has {train.n_cols}")

@@ -13,7 +13,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import s2ml.cli
 import s2ml.data
+import s2ml.harness
 from helpers import corrupt_gzip, fail_accuracy_at
 from s2ml.cli import MODEL_MAGIC, ModelFormatError, main, read_model, write_model
 from s2ml.data import load_dataset
@@ -348,12 +350,17 @@ class TestBenchmark:
                 "--out-dir", str(data_dir / "results")]
         assert main(args) == 0
         [cache] = data_dir.glob("*.fstar")
+        cold = cache.read_text()
+        first = read_trace_csv(data_dir / "results" / "traces.csv")["tron"][0]
         cache.write_text("-5\n")
-        stale = re.escape(f"{cache}: cached f* -5 lies below")
+        stale = re.escape(f"{cache}: cached f* '-5' lies below") + ".*; recomputing$"
         with pytest.warns(RuntimeWarning, match=stale):
             assert main(args) == 0
+        assert cache.read_text() == cold
         gaps = read_trace_csv(data_dir / "results" / "traces.csv")["tron"][0]
-        assert gaps[-1].optimality_gap > 5.0  # measured against the stale value
+        assert abs(gaps[-1].optimality_gap) < 1e-9  # measured against the recomputed f*
+        assert [(r.objective, r.optimality_gap) for r in gaps] == \
+            [(r.objective, r.optimality_gap) for r in first]
 
     def test_truncated_gzip_exits_2(self, tmp_path, train, capsys):
         cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
@@ -386,6 +393,29 @@ class TestBenchmark:
         assert rc == 2
         assert capsys.readouterr().err == f"s2ml: error: {empty}: no data rows\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, flag, below, written", [
+        ("benchmark", "--out-dir", "sub", "sub/traces.csv"),
+        ("train", "--out", "m.txt", "m.txt"),
+    ], ids=["benchmark", "train"])
+    def test_output_below_a_file_is_refused_before_any_run(
+            self, data_dir, train, monkeypatch, capsys, command, flag, below, written):
+        afile = data_dir / "afile"
+        afile.write_text("")
+        calls = []
+        real = s2ml.harness.run_solver
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(s2ml.harness, "run_solver", spy)
+        monkeypatch.setattr(s2ml.cli, "run_solver", spy)
+        rc = main([command, "--data", train, "--max-iters", "2", flag, str(afile / below)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"s2ml: error: {afile / written}: {afile} is not a directory\n"
+        assert calls == [] and not list(data_dir.glob("*.fstar"))
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"
@@ -500,14 +530,18 @@ class TestFstarAndPlot:
     @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf", "\udcff\udcfe1"])
     def test_fstar_rejects_a_cache_that_is_no_finite_number(self, tmp_path, data_dir,
                                                             train, capsys, text):
+        # the cache is not used: it is recomputed and rewritten as on a miss
         assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 0
-        capsys.readouterr()
+        printed = capsys.readouterr().out
         [cache] = data_dir.glob("*.fstar")
+        cold = cache.read_bytes()
         cache.write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
-        assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"{cache}: cached f* {text!r} is not a finite number" in err
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 0
+        assert [str(w.message) for w in caught] == [
+            f"{cache}: cached f* {text!r} is not a finite number; recomputing"]
+        assert capsys.readouterr().out == printed
+        assert cache.read_bytes() == cold
 
     def test_plot_from_csv(self, tmp_path, train, test_split):
         bench_dir = tmp_path / "bench"
@@ -700,6 +734,29 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bogus" in err if flag is None else flag in err
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "max-iters = -1", "max-iters must be >= 0"),
+        ("fstar", "lambda = -1", "lambda must be finite and >= 0"),
+        ("benchmark", "reps = 0", "reps must be >= 1"),
+    ], ids=["max-iters", "lambda", "reps"])
+    def test_out_of_range_value_names_its_line(self, tmp_path, train, capsys,
+                                               command, line, message):
+        # the error blames the config line, not a flag that was never given
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# defaults\n{line}\n")
+        rc = main([command, "--config", str(cfg), "--data", train])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: s2ml {command} ")
+        assert err.endswith(f"s2ml: error: {cfg}:2: {message}\n")
+
+    def test_flag_over_the_config_keeps_its_name(self, tmp_path, train, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("max-iters = 5\n")
+        rc = main(["train", "--config", str(cfg), "--data", train, "--max-iters", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith("s2ml: error: --max-iters must be >= 0\n")
 
 
 @pytest.mark.filterwarnings("ignore:'s2ml.cli' found in sys.modules:RuntimeWarning")

@@ -69,28 +69,50 @@ class TestComputeFStar:
     # "\udcff\udcfe1" is written as the bytes ff fe 31 (not UTF-8)
     @pytest.mark.parametrize("text", ["garbage", "", "nan", "-inf", "inf", "\udcff\udcfe1"])
     def test_cache_that_is_no_finite_number_rejected(self, tmp_path, text):
+        # the value is recomputed as on a miss and the file rewritten
         problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
                                small_instance(2))
-        compute_f_star(problem, cache_dir=tmp_path)
+        value = compute_f_star(problem, cache_dir=tmp_path)
         [cache] = tmp_path.glob("*.fstar")
+        cold = cache.read_bytes()
         cache.write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
-        with pytest.raises(ValueError, match=re.escape(f"{cache}: cached f* {text!r}")):
-            compute_f_star(problem, cache_dir=tmp_path)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert compute_f_star(problem, cache_dir=tmp_path) == value
+        assert [str(w.message) for w in caught] == [
+            f"{cache}: cached f* {text!r} is not a finite number; recomputing"]
+        assert cache.read_bytes() == cold
 
     def test_cache_below_the_strong_convexity_bound_warns(self, tmp_path):
         # lam > 0 and no bias: f* >= f(w) - ||grad f(w)||^2 / (2 lam) at any w
         problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
                                small_instance(2))
+        start = _solved(problem)
+        warm = compute_f_star(problem, start=start)
+        value = compute_f_star(problem, cache_dir=tmp_path, start=start)
+        assert value == warm
+        [cache] = tmp_path.glob("*.fstar")
+        planted = f"{value - 1e-3:.17g}"
+        cache.write_text(planted + "\n")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert compute_f_star(problem, cache_dir=tmp_path, start=start) == warm
+        [message] = [str(w.message) for w in caught]
+        assert re.fullmatch(re.escape(f"{cache}: cached f* {planted!r} lies below the "
+                                      "lower bound ") + r"\S+ of a solver iterate; recomputing",
+                            message)
+        assert cache.read_text() == f"{warm:.17g}\n"
+
+    def test_valid_cache_with_a_start_is_reused(self, tmp_path, monkeypatch):
+        problem = make_problem(ProblemConfig(kind="logistic", lam=0.1),
+                               small_instance(2))
         value = compute_f_star(problem, cache_dir=tmp_path)
         [cache] = tmp_path.glob("*.fstar")
-        start = _solved(problem)
+        written = cache.read_bytes()
+        seen = _spy_run_solver(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert compute_f_star(problem, cache_dir=tmp_path, start=start) == value
-        cache.write_text(f"{value - 1e-3:.17g}\n")
-        with pytest.warns(RuntimeWarning,
-                          match=re.escape(f"{cache}: cached f* ") + ".* lies below"):
-            assert compute_f_star(problem, cache_dir=tmp_path, start=start) == value - 1e-3
+            assert compute_f_star(problem, cache_dir=tmp_path,
+                                  start=_solved(problem)) == value
+        assert seen == [] and cache.read_bytes() == written
 
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         # a crash between writing and renaming must not leave a partial cache
@@ -486,9 +508,20 @@ class TestWarmFStar:
         problem = make_problem(ProblemConfig(kind="logistic", lam=1e-3),
                                small_instance(21, n=300, d=30))
         start = _solved(problem)
-        seen = _spy_run_solver(monkeypatch)
-        w = harness._reference_point(problem, start)
-        assert seen[0][1] is not harness._FSTAR_SOLVER
+        runs = []
+        real = harness.run_solver
+
+        def spy(target, config, callback=None):
+            z, termination = real(target, config, callback)
+            runs.append((target, config, z))
+            return z, termination
+
+        monkeypatch.setattr(harness, "run_solver", spy)
+        compute_f_star(problem, start=start)
+        [(target, config, z)] = runs
+        assert isinstance(target, harness._Shifted)
+        assert config is not harness._FSTAR_SOLVER
+        w = start + z
         g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
         assert np.linalg.norm(problem.gradient(w)) <= 1e-12 * g0
         assert not np.array_equal(w, start)
@@ -579,17 +612,28 @@ class TestReferenceFromIterates:
 
     def test_stale_cache_warns_naming_the_file(self, tmp_path):
         spec = self._spec(tmp_path, solvers=[SolverConfig(method="tron", grad_tol=1e-8)])
-        best = run_experiment(spec)["tron"][0][-1].objective
+        first = run_experiment(spec)["tron"][0]
+        best = first[-1].objective
         cache, = tmp_path.glob("*.fstar")
+        cold = cache.read_text()
         # a cached value equal to the best final objective is no sign of staleness
         cache.write_text(f"{best:.17g}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_experiment(spec)
-        cache.write_text(f"{best + 1e-3:.17g}\n")
-        with pytest.warns(RuntimeWarning, match=re.escape(str(cache))):
+        planted = f"{best + 1e-3:.17g}"
+        cache.write_text(planted + "\n")
+        with pytest.warns(RuntimeWarning) as caught:
             traces = run_experiment(spec)
-        assert traces["tron"][0][-1].optimality_gap < 0
+        assert [str(w.message) for w in caught] == [
+            f"{cache}: cached f* {planted!r} lies above the objective {best:.17g} "
+            "of a solver iterate; recomputing"]
+        # the gaps are measured against the recomputed value, as on a cold cache
+        assert cache.read_text() == cold
+        f_star = float(cold)
+        assert traces["tron"][0][-1].optimality_gap >= -1e-12 * abs(f_star)
+        assert [r.optimality_gap for r in traces["tron"][0]] == \
+            [r.optimality_gap for r in first]
 
     def test_reference_gets_the_iteration_zero_gradient_norm(self, tmp_path,
                                                              monkeypatch):

@@ -693,10 +693,12 @@ class TestRunSolver:
                    for s in snaps[1:])
 
     @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
-    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-150, 1.0,
-                                       1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("scale, bias", [
+        pytest.param(scale, bias, id=f"{scale}-bias" if bias else f"{scale}")
+        for bias in (False, True)
+        for scale in (1e-300, 1e-200, 1e-160, 1e-150, 1.0, 1e150, 1e200, 1e300)])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_feature_scale_never_misreports(self, kind, scale):
+    def test_feature_scale_never_misreports(self, kind, scale, bias):
         # at 1e-200 the plain ||grad f(0)|| underflows to 0, and every method
         # used to report "converged" at iteration 0
         def scaled_norm(v):
@@ -707,7 +709,7 @@ class TestRunSolver:
         X = base.features
         data = Dataset(Features((X.data * scale, X.indices, X.indptr), shape=X.shape),
                        base.labels)
-        problem = make_problem(ProblemConfig(kind=kind, lam=1e-4), data)
+        problem = make_problem(ProblemConfig(kind=kind, lam=1e-4, add_bias=bias), data)
         g0 = scaled_norm(problem.gradient(np.zeros(problem.dim)))
         for method in solvers.METHODS:
             config = SolverConfig(method=method, max_iters=100)
