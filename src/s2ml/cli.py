@@ -277,8 +277,10 @@ def _require_data(args):
     return args.data
 
 
-def _check_parent_dir(path: Path) -> None:
-    """Refuse, creating nothing, an output file path below a regular file."""
+def _check_output_file(path: Path) -> None:
+    """Refuse, creating nothing, an output file that is a directory or below a file."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
     existing = next(p for p in path.parents if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"{path}: {existing} is not a directory")
@@ -301,7 +303,7 @@ def _write_plots(traces, out_dir: Path) -> list[str]:
 
 def _cmd_train(args) -> int:
     path, out = _require_data(args), _get(args, "out")
-    _check_parent_dir(Path(out))
+    _check_output_file(Path(out))
     data = load_dataset(path)
     pcfg = _config(ProblemConfig, args)
     problem = make_problem(pcfg, data)
@@ -329,7 +331,7 @@ def _cmd_benchmark(args) -> int:
                       for m in args.solver or [None]),
         test_path=args.test_data)
     out_dir = Path(_get(args, "out_dir"))
-    _check_parent_dir(out_dir / "traces.csv")
+    _check_output_file(out_dir / "traces.csv")
     traces = run_experiment(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "traces.csv"

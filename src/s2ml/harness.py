@@ -126,25 +126,25 @@ class _Shifted:
 
 def _unusable(problem, text: str, start) -> str | None:
     """Why the cached f* ``text`` cannot be the optimum, or None: it is no
-    finite number, or, given ``start``, lies above f(start) or (lam > 0 and
-    no bias, so f is lam-strongly convex) below ``f(start) - ||grad
-    f(start)||^2 / (2 lam)``, by more than 1e-12 of its magnitude."""
+    finite number, or lies above f(start) or below a lower bound by more than
+    1e-12 of its magnitude. The bound is max(0, f(start) - ||grad
+    f(start)||^2 / (2 lam)) when lam > 0 and there is no bias (f is then
+    lam-strongly convex), else 0: no loss and no penalty is ever negative."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         return "is not a finite number"
-    if start is None:
-        return None
     f_start = float(problem.objective(start))
     if value - f_start > 1e-12 * abs(value):
-        return f"lies above the objective {f_start:.17g} of a solver iterate"
+        return f"lies above the objective {f_start:.17g}"
+    bound = 0.0
     if problem.lam > 0.0 and not problem.add_bias:
         g_start = _norm(problem.gradient(start))
-        bound = f_start - g_start * g_start / (2.0 * problem.lam)
-        if bound - value > 1e-12 * abs(value):
-            return f"lies below the lower bound {bound:.17g} of a solver iterate"
+        bound = max(0.0, f_start - g_start * g_start / (2.0 * problem.lam))
+    if bound - value > 1e-12 * abs(value):
+        return f"lies below the lower bound {bound:.17g}"
     return None
 
 
@@ -152,9 +152,9 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
     """Reference optimum of the problem, cached by dataset digest and config.
 
     Runs the trust-region Newton solver until ``||grad f(w)|| <= 1e-12
-    ||grad f(0)||``, from ``start`` when that point's gradient norm is
-    finite, nonzero and below the one at 0 (the best iterate of the
-    benchmarked solvers, say), else from 0. ``grad_norm0``, when given, is
+    ||grad f(0)||``, from ``start`` (0 if not given) when that point's
+    gradient norm is finite, nonzero and below the one at 0 (the best iterate
+    of the benchmarked solvers, say), else from 0. ``grad_norm0``, if given, is
     taken as ``||grad f(0)||`` (a solver's iteration-0 record holds it);
     else it is evaluated. The objective is strongly convex for lam > 0, so
     the certificate does not depend on the start, which only shortens the
@@ -162,14 +162,15 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
 
     With ``cache_dir`` (and a :class:`Problem` built on a :class:`Dataset`,
     whose digest keys the file) the value is kept in ``<digest>.fstar`` at
-    17 significant digits. A cached value that can be the optimum is
-    returned; a missing one is computed and written; one that cannot be
-    (see :func:`_unusable`) draws one ``RuntimeWarning`` naming the file and
-    the reason, then is computed and written as if missing. The file is
-    replaced atomically; a directory that takes no new file (read-only, say)
-    draws a ``RuntimeWarning`` naming the path and its error, and the value
-    is returned uncached.
+    17 significant digits. A cached value that can be the optimum, judged at
+    ``start`` (see :func:`_unusable`), is returned, even if it is not; a
+    missing one is computed and written; one that cannot be draws one
+    ``RuntimeWarning`` naming the file and the reason, then is computed and
+    written as if missing. A write that fails (see :func:`_write_atomic`)
+    warns, and the value is returned uncached.
     """
+    if start is None:
+        start = np.zeros(problem.dim)
     cache_path = None
     if cache_dir is not None:
         key = (dataset_digest(problem.data), problem.kind, float(problem.lam),
@@ -185,15 +186,14 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
             warnings.warn(f"{cache_path}: cached f* {text!r} {why}; recomputing",
                           RuntimeWarning, stacklevel=2)
     config, target = _FSTAR_SOLVER, problem
-    if start is not None:
-        if grad_norm0 is None:
-            grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
-        g_start = _norm(problem.gradient(start))
-        if 0.0 < g_start < grad_norm0:
-            # the same absolute stopping point, relative to ||grad f(start)||
-            config = replace(_FSTAR_SOLVER,
-                             grad_tol=_FSTAR_SOLVER.grad_tol * grad_norm0 / g_start)
-            target = _Shifted(problem, start)
+    if grad_norm0 is None:
+        grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
+    g_start = _norm(problem.gradient(start))
+    if 0.0 < g_start < grad_norm0:
+        # the same absolute stopping point, relative to ||grad f(start)||
+        config = replace(_FSTAR_SOLVER,
+                         grad_tol=_FSTAR_SOLVER.grad_tol * grad_norm0 / g_start)
+        target = _Shifted(problem, start)
     w, termination = run_solver(target, config)
     if termination != "converged":
         raise ConvergenceError(
@@ -207,22 +207,18 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write a temp file in the target's directory, then rename it over the
-    target; on any failure the temp file is removed. A temp file that
-    cannot be written (a read-only directory, say) leaves the target as it
-    was and draws a ``RuntimeWarning`` naming the path and the error; a
-    failed rename raises."""
+    target; the temp file never outlives the call. An ``OSError`` in either
+    step (a read-only directory, say) leaves the target as it was and draws a
+    ``RuntimeWarning`` naming the path and the error; others propagate."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    renaming = False
     try:
         tmp.write_text(text)
-        renaming = True
         os.replace(tmp, path)
-    except BaseException as exc:
+    except OSError as exc:
+        warnings.warn(f"{path}: not cached: {exc}", RuntimeWarning, stacklevel=3)
+    finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        if renaming or not isinstance(exc, OSError):
-            raise
-        warnings.warn(f"{path}: not cached: {exc}", RuntimeWarning, stacklevel=3)
 
 
 def _unique_names(configs) -> list[str]:

@@ -498,11 +498,14 @@ def _cg_solve(hv, g: np.ndarray, rtol: float, max_iters: int):
 
 
 def _armijo(problem, state: SolverState, d: np.ndarray):
-    """Backtracking line search (halving) from ``state.w`` along ``d`` under
-    the sufficient-decrease rule. Returns ``(accepted, step, w_new, f_new)``
-    in the argument order of :func:`_finish`."""
+    """Backtracking line search (halving) from ``state.w`` along ``d``, or
+    along -grad if ``d`` is no descent direction, under the sufficient-decrease
+    rule. Returns ``(accepted, step, w_new, f_new)`` for :func:`_finish`."""
     w, f0 = state.w, state.obj
     gd = float(state.grad @ d)
+    if gd >= 0.0:
+        d = -state.grad
+        gd = float(state.grad @ d)
     t = 1.0
     for _ in range(_ARMIJO_HALVINGS + 1):
         step = t * d
@@ -516,11 +519,9 @@ def _armijo(problem, state: SolverState, d: np.ndarray):
 
 def newton_cg_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
     """Inexact Newton iteration: CG to a relative residual, then backtracking."""
-    g = state.grad
-    x, calls = _cg_solve(problem.make_hess_vec(state.w, None), g,
+    x, calls = _cg_solve(problem.make_hess_vec(state.w, None), state.grad,
                          config.cg_rtol, config.cg_max_iters)
-    d = -g if float(x @ g) >= 0.0 else x
-    return _finish(problem, state, *_armijo(problem, state, d),
+    return _finish(problem, state, *_armijo(problem, state, x),
                    cg_iters=calls, rows_touched=calls * problem.n_rows)
 
 
@@ -631,8 +632,6 @@ def lbfgs_step(problem, state: SolverState, config: SolverConfig) -> IterationSn
     """Quasi-Newton iteration from the bounded (s, y) memory."""
     g = state.grad
     d = lbfgs_direction(state.lbfgs_pairs, g)
-    if float(d @ g) >= 0.0:
-        d = -g
     accepted, step, w_new, f_new = _armijo(problem, state, d)
     snapshot = _finish(problem, state, accepted, step, w_new, f_new)
     if accepted:

@@ -362,6 +362,22 @@ class TestBenchmark:
         assert [(r.objective, r.optimality_gap) for r in gaps] == \
             [(r.objective, r.optimality_gap) for r in first]
 
+    def test_cached_f_star_below_zero_warns_with_bias(self, data_dir, train):
+        # with a bias f is not strongly convex, but no f is ever below 0
+        args = ["benchmark", "--data", train, "--solver", "tron", "--bias",
+                "--lambda", "0.01", "--out-dir", str(data_dir / "results")]
+        assert main(args) == 0
+        [cache] = data_dir.glob("*.fstar")
+        cold = cache.read_text()
+        cache.write_text("-5\n")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(args) == 0
+        assert [str(w.message) for w in caught] == [
+            f"{cache}: cached f* '-5' lies below the lower bound 0; recomputing"]
+        assert cache.read_text() == cold
+        gaps = read_trace_csv(data_dir / "results" / "traces.csv")["tron"][0]
+        assert abs(gaps[-1].optimality_gap) < 1e-9  # measured against the recomputed f*
+
     def test_truncated_gzip_exits_2(self, tmp_path, train, capsys):
         cut = truncated_gzip(train, tmp_path / "train.libsvm.gz")
         rc = main(["benchmark", "--data", cut, "--out-dir", str(tmp_path / "out")])
@@ -416,6 +432,28 @@ class TestBenchmark:
         assert capsys.readouterr().err == \
             f"s2ml: error: {afile / written}: {afile} is not a directory\n"
         assert calls == [] and not list(data_dir.glob("*.fstar"))
+
+    @pytest.mark.parametrize("command, flag, made", [
+        ("benchmark", "--out-dir", "out/traces.csv"),
+        ("train", "--out", "out"),
+    ], ids=["benchmark", "train"])
+    def test_output_that_is_a_directory_is_refused_before_any_run(
+            self, data_dir, train, monkeypatch, capsys, command, flag, made):
+        (data_dir / made).mkdir(parents=True)
+        before = sorted(data_dir.rglob("*"))
+        calls = []
+        real = s2ml.harness.run_solver
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(s2ml.harness, "run_solver", spy)
+        monkeypatch.setattr(s2ml.cli, "run_solver", spy)
+        rc = main([command, "--data", train, "--max-iters", "2", flag, str(data_dir / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"s2ml: error: {data_dir / made}: is a directory\n"
+        assert calls == [] and sorted(data_dir.rglob("*")) == before
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"
@@ -540,6 +578,30 @@ class TestFstarAndPlot:
             assert main(["fstar", "--data", train, "--lambda", "0.01"]) == 0
         assert [str(w.message) for w in caught] == [
             f"{cache}: cached f* {text!r} is not a finite number; recomputing"]
+        assert capsys.readouterr().out == printed
+        assert cache.read_bytes() == cold
+
+    @pytest.mark.parametrize("text, flags, why", [
+        ("-5", [], "lies below the lower bound"),
+        ("-5", ["--bias"], "lies below the lower bound"),
+        ("-5", ["--lambda", "0"], "lies below the lower bound"),
+        ("1000", [], "lies above the objective"),
+    ], ids=["below", "below-bias", "below-lambda-0", "above"])
+    def test_fstar_rejects_a_cache_that_cannot_be_the_optimum(self, data_dir, train,
+                                                             capsys, text, flags, why):
+        # checked at w = 0: 0 <= f* <= f(0), and f* >= f(0) - ||grad f(0)||^2
+        # / (2 lambda) when lambda > 0 and there is no bias
+        args = ["fstar", "--data", train, *flags]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        [cache] = data_dir.glob("*.fstar")
+        cold = cache.read_bytes()
+        cache.write_text(text + "\n")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(args) == 0
+        [message] = [str(w.message) for w in caught]
+        assert re.fullmatch(re.escape(f"{cache}: cached f* {text!r} {why} ")
+                            + r"\S+; recomputing", message)
         assert capsys.readouterr().out == printed
         assert cache.read_bytes() == cold
 
