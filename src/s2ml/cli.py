@@ -305,8 +305,7 @@ def _cmd_train(args) -> int:
     path, out = _require_data(args), _get(args, "out")
     _check_output_file(Path(out))
     data = load_dataset(path)
-    pcfg = _config(ProblemConfig, args)
-    problem = make_problem(pcfg, data)
+    problem = make_problem(_config(ProblemConfig, args), data)
     scfg = _config(SolverConfig, args, method=args.solver)
     w, termination = run_solver(problem, scfg)
     if termination == "non_finite":
@@ -314,8 +313,8 @@ def _cmd_train(args) -> int:
               "gradient norm (feature values too large?); no model written",
               file=sys.stderr)
         return 2
-    write_model(out, w, ProblemConfig(kind=pcfg.kind, lam=problem.lam,
-                                      add_bias=pcfg.add_bias))
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    write_model(out, w, problem.config)
     print(f"s2ml: {scfg.method} finished ({termination}); "
           f"objective={problem.objective(w):.6e}; model -> {out}",
           file=sys.stderr)
@@ -331,7 +330,8 @@ def _cmd_benchmark(args) -> int:
                       for m in args.solver or [None]),
         test_path=args.test_data)
     out_dir = Path(_get(args, "out_dir"))
-    _check_output_file(out_dir / "traces.csv")
+    for name in ("traces.csv", "gap.svg") + (("accuracy.svg",) if args.test_data else ()):
+        _check_output_file(out_dir / name)
     traces = run_experiment(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "traces.csv"

@@ -45,7 +45,7 @@ pointwise hooks and registering the class in ``PROBLEM_KINDS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,15 +100,15 @@ class Problem:
     kinks); this class has no stubs for them.
 
     All evaluation methods accept ``rows``: either ``None`` for the full
-    dataset or a sorted array of distinct row indices.
+    dataset or a sorted array of distinct row indices. ``config.lam`` is ``lam``.
     """
 
     def __init__(self, config: ProblemConfig, data: Dataset):
         if data.n_rows == 0:
             raise ValueError("dataset has no rows")
-        self.config = config
         self.data = data
         self.lam = float(config.lam) if config.lam is not None else 1.0 / data.n_rows
+        self.config = replace(config, lam=self.lam)
         self.add_bias = config.add_bias
         X = data.features
         if self.add_bias:  # a copy with a last column of ones; data.features is kept
@@ -135,11 +135,10 @@ class Problem:
         return self.data.n_cols + (1 if self.add_bias else 0)
 
     def _eval(self, w, rows):
-        """Check the rows and return ``(rows, y, wf, m)``: y and the
+        """Check w and the rows and return ``(rows, y, wf, m)``: y and the
         memoized margins m = y * (X @ w) (see the module docstring), both
-        sliced to the rows, and wf, the penalized part of w."""
-        w = np.asarray(w, dtype=np.float64)
-        wf, _ = self._split(w)
+        sliced to the rows, and wf = w[:n_cols], the penalized part of w."""
+        w = self._weights(w)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim != 1 or rows.size == 0:
@@ -153,17 +152,15 @@ class Problem:
             m.flags.writeable = False
             self._memo = [bits.copy(), m, None]
         sel = slice(None) if rows is None else rows
-        return rows, self._y[sel], wf, self._memo[1][sel]
+        return rows, self._y[sel], w[:self.data.n_cols], self._memo[1][sel]
 
-    def _split(self, w):
-        """Check w's length; ``(penalized feature weights, bias or 0.0)``."""
+    def _weights(self, w):
+        """w as float64, checked to have length ``dim``."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.dim,):
             raise ValueError(f"expected weight vector of length {self.dim}, "
                              f"got shape {w.shape}")
-        if self.add_bias:
-            return w[:-1], float(w[-1])
-        return w, 0.0
+        return w
 
     def margins(self, w, rows=None) -> np.ndarray:
         """m_i = y_i * (w . x_i [+ bias]) over the selected rows; read-only
@@ -197,6 +194,7 @@ class Problem:
         those rows and multiplies only them; its results are bit-identical
         to the all-row product (see the module docstring), and the mean is
         still taken over all evaluated rows. It gathers rows at most once.
+        Each v it is handed is converted and checked like ``w``.
         """
         rows, _, _, m = self._eval(w, rows)
         h = self._curvature(m) / m.size
@@ -206,12 +204,12 @@ class Problem:
             rows, h = (active if rows is None else rows[active]), h[active]
         X = self._X if rows is None else self._X[rows]  # the one gather
         XT = self._XT if rows is None else X.T
-        lam = self.lam
+        lam, n_cols = self.lam, self.data.n_cols
 
         def hess_vec(v):
-            vf, _ = self._split(v)
+            v = self._weights(v)
             out = XT @ (h * (X @ v))
-            out[:vf.size] += lam * vf
+            out[:n_cols] += lam * v[:n_cols]
             return out
 
         return hess_vec
@@ -221,8 +219,8 @@ class Problem:
         if data.n_cols != self.data.n_cols:
             raise ValueError(f"dataset has {data.n_cols} feature columns, "
                              f"expected {self.data.n_cols}")
-        wf, b = self._split(w)
-        scores = data.features @ wf + b
+        w = self._weights(w)
+        scores = data.features @ w[:data.n_cols] + (w[data.n_cols] if self.add_bias else 0.0)
         pred = np.where(scores >= 0.0, 1, -1)
         return float(np.mean(pred == data.labels))
 

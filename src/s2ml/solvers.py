@@ -393,6 +393,14 @@ def _combine(basis: list[np.ndarray], h: np.ndarray, radius: float) -> np.ndarra
 # Step operations
 # ---------------------------------------------------------------------------
 
+def _snapshot(state: SolverState, accepted=True, step_norm=0.0, cg_iters=0, rows_touched=0):
+    """The state as its iteration's record; the defaults describe iteration 0."""
+    return IterationSnapshot(
+        iter=state.iter, w=state.w, objective=state.obj, grad_norm=_norm(state.grad),
+        step_accepted=accepted, tr_radius=state.tr_radius, step_norm=step_norm,
+        cg_iters_used=cg_iters, rows_touched=rows_touched)
+
+
 def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
             *, cg_iters: int = 0, rows_touched: int = 0) -> IterationSnapshot:
     """Commit the trial point ``w_new = state.w + step`` with objective
@@ -406,11 +414,7 @@ def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
     else:
         state.consecutive_rejects += 1
     state.iter += 1
-    return IterationSnapshot(
-        iter=state.iter, w=state.w, objective=state.obj,
-        grad_norm=_norm(state.grad), step_accepted=accepted,
-        tr_radius=state.tr_radius, step_norm=_norm(step) if accepted else 0.0,
-        cg_iters_used=cg_iters, rows_touched=rows_touched)
+    return _snapshot(state, accepted, _norm(step) if accepted else 0.0, cg_iters, rows_touched)
 
 
 def stron_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
@@ -629,9 +633,9 @@ def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
 
 
 def lbfgs_step(problem, state: SolverState, config: SolverConfig) -> IterationSnapshot:
-    """Quasi-Newton iteration from the bounded (s, y) memory."""
+    """Quasi-Newton iteration from the bounded (s, y) memory, an :class:`LbfgsMemory`."""
     g = state.grad
-    d = lbfgs_direction(state.lbfgs_pairs, g)
+    d = state.lbfgs_pairs.direction(g)
     accepted, step, w_new, f_new = _armijo(problem, state, d)
     snapshot = _finish(problem, state, accepted, step, w_new, f_new)
     if accepted:
@@ -685,10 +689,7 @@ def run_solver(problem, config: SolverConfig, callback=None):
     """
     step_fn = _STEPS[config.method]
     state = init_state(problem, config)
-    snapshot = IterationSnapshot(
-        iter=0, w=state.w, objective=state.obj, grad_norm=state.grad_norm0,
-        step_accepted=True, tr_radius=state.tr_radius, step_norm=0.0,
-        cg_iters_used=0, rows_touched=0)
+    snapshot = _snapshot(state)
     while True:
         if callback is not None:
             callback(snapshot)

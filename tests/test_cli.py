@@ -146,6 +146,14 @@ class TestTrain:
         _, cfg = read_model(out)
         assert cfg.lam == 1.0 / 1000
 
+    def test_out_directory_is_created(self, tmp_path, train):
+        out = tmp_path / "new" / "sub" / "model.txt"
+        rc = main(["train", "--data", train, "--max-iters", "3", "--out", str(out)])
+        assert rc == 0
+        w, cfg = read_model(out)
+        assert cfg == ProblemConfig(kind="logistic", lam=1.0 / 1000)
+        assert w.size == load_dataset(train).n_cols
+
     def test_invalid_solver_exits_1(self, train, capsys):
         rc = main(["train", "--data", train, "--solver", "bogus"])
         assert rc == 1
@@ -454,6 +462,28 @@ class TestBenchmark:
         assert rc == 2
         assert capsys.readouterr().err == f"s2ml: error: {data_dir / made}: is a directory\n"
         assert calls == [] and sorted(data_dir.rglob("*")) == before
+
+    @pytest.mark.parametrize("plot, with_test_data", [
+        ("gap.svg", False), ("gap.svg", True), ("accuracy.svg", True),
+    ], ids=["gap", "gap-test-data", "accuracy"])
+    def test_plot_that_is_a_directory_is_refused_before_any_data_is_read(
+            self, data_dir, train, test_split, monkeypatch, capsys, plot, with_test_data):
+        out_dir = data_dir / "out"
+        (out_dir / plot).mkdir(parents=True)
+        before = sorted(data_dir.rglob("*"))
+        loads, calls = [], []
+        monkeypatch.setattr(s2ml.harness, "load_dataset",
+                            lambda *args, **kwargs: loads.append(args))
+        monkeypatch.setattr(s2ml.harness, "run_solver",
+                            lambda *args, **kwargs: calls.append(args))
+        test_flags = ["--test-data", test_split] if with_test_data else []
+        rc = main(["benchmark", "--data", train, *test_flags, "--max-iters", "2",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"s2ml: error: {out_dir / plot}: is a directory\n"
+        assert loads == [] and calls == []
+        assert not (out_dir / "traces.csv").exists()
+        assert sorted(data_dir.rglob("*")) == before
 
     def test_reps_recorded(self, tmp_path, train):
         out_dir = tmp_path / "results"

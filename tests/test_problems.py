@@ -47,6 +47,13 @@ class TestConfig:
         problem = make_problem(ProblemConfig(kind="logistic"), data)
         assert problem.lam == 1.0 / 25
 
+    @pytest.mark.parametrize("lam, resolved", [(None, 1.0 / 25), (0, 0.0)])
+    def test_config_carries_the_resolved_lambda(self, lam, resolved):
+        data = random_dataset(np.random.default_rng(0), 25, 4)
+        problem = make_problem(ProblemConfig(kind="svm-l2", lam=lam, add_bias=True), data)
+        assert problem.config == ProblemConfig(kind="svm-l2", lam=resolved, add_bias=True)
+        assert type(problem.config.lam) is float
+
     def test_empty_dataset_rejected(self):
         data = dataset_from_rows([])
         with pytest.raises(ValueError, match="no rows"):

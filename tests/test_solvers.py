@@ -31,7 +31,7 @@ def make_state(problem, config, w0):
                                   if config.method in ("tron", "stron") else None),
                        rng=np.random.default_rng(config.rng_seed),
                        batch_size=problem.n_rows,
-                       lbfgs_pairs=deque(maxlen=config.lbfgs_memory))
+                       lbfgs_pairs=LbfgsMemory(config.lbfgs_memory))
 
 
 def logistic_problem(seed, n, d, lam, nnz=None):
