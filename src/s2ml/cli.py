@@ -287,14 +287,18 @@ def _check_output_file(path: Path) -> None:
 
 
 def _write_plots(traces, out_dir: Path) -> list[str]:
-    """Write gap.svg, plus accuracy.svg when the traces carry test accuracy."""
-    paths = [out_dir / "gap.svg"]
-    render_convergence_svg(traces, "optimality_gap", paths[0])
+    """Write gap.svg, plus accuracy.svg when the traces carry test accuracy,
+    making ``out_dir`` once every path passes :func:`_check_output_file`."""
+    paths = {"optimality_gap": out_dir / "gap.svg"}
     if any(t.test_accuracy is not None
            for reps in traces.values() for run in reps for t in run):
-        paths.append(out_dir / "accuracy.svg")
-        render_convergence_svg(traces, "test_accuracy", paths[1])
-    return [str(p) for p in paths]
+        paths["test_accuracy"] = out_dir / "accuracy.svg"
+    for path in paths.values():
+        _check_output_file(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for metric, path in paths.items():
+        render_convergence_svg(traces, metric, path)
+    return [str(p) for p in paths.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +355,8 @@ def _cmd_fstar(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    traces = read_trace_csv(_require_data(args))
-    out_dir = Path(_get(args, "out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"s2ml: wrote {', '.join(_write_plots(traces, out_dir))}", file=sys.stderr)
+    wrote = _write_plots(read_trace_csv(_require_data(args)), Path(_get(args, "out_dir")))
+    print(f"s2ml: wrote {', '.join(wrote)}", file=sys.stderr)
     return 0
 
 

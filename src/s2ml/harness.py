@@ -124,6 +124,11 @@ class _Shifted:
         return self._problem.make_hess_vec(self._start + z, rows)
 
 
+def _strong_convexity(problem) -> float:
+    """The modulus mu of f's strong convexity: lam, or 0 with an (unpenalized) bias."""
+    return 0.0 if getattr(problem, "add_bias", False) else getattr(problem, "lam", 0.0)
+
+
 def _unusable(problem, text: str, start) -> str | None:
     """Why the cached f* ``text`` cannot be the optimum, or None: it is no
     finite number, or lies above f(start) or below a lower bound by more than
@@ -139,10 +144,10 @@ def _unusable(problem, text: str, start) -> str | None:
     f_start = float(problem.objective(start))
     if value - f_start > 1e-12 * abs(value):
         return f"lies above the objective {f_start:.17g}"
-    bound = 0.0
-    if problem.lam > 0.0 and not problem.add_bias:
+    bound, mu = 0.0, _strong_convexity(problem)
+    if mu > 0.0:
         g_start = _norm(problem.gradient(start))
-        bound = max(0.0, f_start - g_start * g_start / (2.0 * problem.lam))
+        bound = max(0.0, f_start - g_start * g_start / (2.0 * mu))
     if bound - value > 1e-12 * abs(value):
         return f"lies below the lower bound {bound:.17g}"
     return None
@@ -151,14 +156,14 @@ def _unusable(problem, text: str, start) -> str | None:
 def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> float:
     """Reference optimum of the problem, cached by dataset digest and config.
 
-    Runs the trust-region Newton solver until ``||grad f(w)|| <= 1e-12
-    ||grad f(0)||``, from ``start`` (0 if not given) when that point's
-    gradient norm is finite, nonzero and below the one at 0 (the best iterate
-    of the benchmarked solvers, say), else from 0. ``grad_norm0``, if given, is
-    taken as ``||grad f(0)||`` (a solver's iteration-0 record holds it);
-    else it is evaluated. The objective is strongly convex for lam > 0, so
-    the certificate does not depend on the start, which only shortens the
-    run. Raises :class:`ConvergenceError` if the run does not converge.
+    Runs the trust-region Newton solver from p until ``||grad f(w)|| <=
+    max(1e-12 ||grad f(0)||, sqrt(2 mu eps f(p)))``, eps the machine epsilon
+    and mu f's strong-convexity modulus (lam, 0 with a bias): then f(w) - f*
+    <= ||grad f(w)||^2 / (2 mu) <= eps f(p), as f(p) >= f* >= 0. p is ``start``
+    (0 if not given) when its gradient norm is finite, nonzero and below
+    ||grad f(0)|| (the best benchmarked iterate, say), else 0. ``grad_norm0``,
+    if given, is ``||grad f(0)||`` (an iteration-0 record holds it), else it
+    is evaluated. Raises :class:`ConvergenceError` if the run does not converge.
 
     With ``cache_dir`` (and a :class:`Problem` built on a :class:`Dataset`,
     whose digest keys the file) the value is kept in ``<digest>.fstar`` at
@@ -185,15 +190,18 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
                 return float(text)
             warnings.warn(f"{cache_path}: cached f* {text!r} {why}; recomputing",
                           RuntimeWarning, stacklevel=2)
-    config, target = _FSTAR_SOLVER, problem
     if grad_norm0 is None:
         grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
     g_start = _norm(problem.gradient(start))
-    if 0.0 < g_start < grad_norm0:
-        # the same absolute stopping point, relative to ||grad f(start)||
-        config = replace(_FSTAR_SOLVER,
-                         grad_tol=_FSTAR_SOLVER.grad_tol * grad_norm0 / g_start)
-        target = _Shifted(problem, start)
+    target = _Shifted(problem, start) if 0.0 < g_start < grad_norm0 else problem
+    if target is problem:  # a cold run, from 0
+        start, g_start = np.zeros(problem.dim), grad_norm0
+    goal, mu = _FSTAR_SOLVER.grad_tol * grad_norm0, _strong_convexity(problem)
+    if mu > 0.0:  # then f(w) - f* <= eps f(start) at the goal (see above)
+        goal = max(goal, math.sqrt(2.0 * mu * np.finfo(float).eps * problem.objective(start)))
+    config = _FSTAR_SOLVER  # goal is absolute; grad_tol is relative to ||grad f(start)||
+    if 0.0 < g_start and goal != _FSTAR_SOLVER.grad_tol * g_start:
+        config = replace(_FSTAR_SOLVER, grad_tol=goal / g_start)
     w, termination = run_solver(target, config)
     if termination != "converged":
         raise ConvergenceError(

@@ -665,6 +665,22 @@ class TestFstarAndPlot:
         [line] = ElementTree.fromstring(text).iter("{http://www.w3.org/2000/svg}polyline")
         assert len(line.get("points").split()) == 2
 
+    @pytest.mark.parametrize("plot, accuracy", [
+        ("gap.svg", ""), ("gap.svg", "0.9"), ("accuracy.svg", "0.9"),
+    ], ids=["gap", "gap-with-accuracy", "accuracy"])
+    def test_plot_that_is_a_directory_is_refused_before_any_is_written(
+            self, tmp_path, capsys, plot, accuracy):
+        path = tmp_path / "traces.csv"
+        rows = [f"tron,0,{i},{0.1 * (i + 1)},1.5,{0.5 / (i + 1)},{accuracy},1.0,0"
+                for i in range(2)]
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        out_dir = tmp_path / "plots"
+        (out_dir / plot).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["plot", "--data", str(path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"s2ml: error: {out_dir / plot}: is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_plot_missing_file_exits_2(self, tmp_path):
         assert main(["plot", "--data", str(tmp_path / "nope.csv")]) == 2
 

@@ -19,10 +19,11 @@ from s2ml.harness import (CSV_HEADER, ConvergenceError, ExperimentSpec,
                           read_trace_csv, render_convergence_svg,
                           run_experiment, write_trace_csv)
 from s2ml.problems import ProblemConfig, make_problem
-from s2ml.solvers import SolverConfig, run_solver
+from s2ml.solvers import METHODS, SolverConfig, run_solver
 from s2ml.data import dataset_from_rows
 
 LN2 = 0.6931471805599453
+EPS = np.finfo(float).eps
 SVG = "{http://www.w3.org/2000/svg}"
 
 
@@ -229,6 +230,25 @@ class TestRunExperiment:
         assert all(b >= a for a, b in zip(walls, walls[1:]))
         rows = [r.rows_touched for r in records]
         assert all(b >= a for a, b in zip(rows, rows[1:]))
+
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    @pytest.mark.parametrize("lam", [None, 1e-2, 1e-4])
+    def test_every_record_meets_the_strong_convexity_bound(self, data_dir, kind, lam):
+        # f - f* <= ||grad f||^2 / (2 lam) on every record, up to an ulp-scale
+        # slack: a record with a tiny gradient has a bound below the ulp of f*
+        spec = ExperimentSpec(
+            problem=ProblemConfig(kind=kind, lam=lam),
+            solvers=[SolverConfig(method=m, grad_tol=1e-10) for m in METHODS],
+            train_path=data_dir / "train1000.libsvm")
+        traces = run_experiment(spec)
+        [cache] = data_dir.glob("*.fstar")
+        f_star = float(cache.read_text())
+        lam = make_problem(spec.problem, harness.load_dataset(spec.train_path)).lam
+        records = [r for reps in traces.values() for run in reps for r in run]
+        assert len(records) > 50
+        for r in records:
+            assert -1e-12 * abs(f_star) <= r.optimality_gap \
+                <= r.grad_norm ** 2 / (2 * lam) + 4 * EPS * abs(f_star)
 
     def test_stochastic_seeds_differ_per_rep(self, tmp_path):
         train = write_split(tmp_path, "train.libsvm", small_instance(11, n=100))
@@ -498,6 +518,18 @@ class CountingGrad:
         return self._problem.gradient(w, rows)
 
 
+def reference_config(problem, p):
+    """The reference run's config from p: ``_FSTAR_SOLVER`` with its goal
+    max(1e-12 ||grad f(0)||, sqrt(2 lam eps f(p))) (the root only with
+    lam > 0 and no bias) taken relative to ||grad f(p)||."""
+    g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
+    goal = 1e-12 * g0
+    if problem.lam > 0 and not problem.add_bias:
+        goal = max(goal, math.sqrt(2 * problem.lam * EPS * problem.objective(p)))
+    return replace(harness._FSTAR_SOLVER,
+                   grad_tol=goal / np.linalg.norm(problem.gradient(p)))
+
+
 class TestWarmFStar:
     @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
     @pytest.mark.parametrize("bias", [False, True])
@@ -529,7 +561,11 @@ class TestWarmFStar:
         assert config is not harness._FSTAR_SOLVER
         w = start + z
         g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
-        assert np.linalg.norm(problem.gradient(w)) <= 1e-12 * g0
+        goal = math.sqrt(2 * problem.lam * EPS * problem.objective(start))
+        assert goal > 1e-12 * g0  # the strong-convexity certificate is the goal
+        assert config == reference_config(problem, start)
+        # so f(w) - f* <= ||grad f(w)||^2 / (2 lam) <= eps f(start)
+        assert np.linalg.norm(problem.gradient(w)) <= goal
         assert not np.array_equal(w, start)
 
     @pytest.mark.parametrize("start", ["nan", "zero", "far"])
@@ -543,7 +579,8 @@ class TestWarmFStar:
         assert not np.linalg.norm(problem.gradient(w0)) < g0
         seen = _spy_run_solver(monkeypatch)
         assert compute_f_star(problem, start=w0) == cold
-        assert seen == [(problem, harness._FSTAR_SOLVER, None)]
+        # the goal is set from f(0), never from the rejected start
+        assert seen == [(problem, reference_config(problem, np.zeros(problem.dim)), None)]
 
     def test_unmoved_solvers_fall_back_to_cold(self, tmp_path, monkeypatch):
         train = write_split(tmp_path, "train.libsvm", small_instance(23))
@@ -558,7 +595,7 @@ class TestWarmFStar:
         reference = [(p, c) for p, c, cb in seen if cb is None]
         assert len(reference) == 1
         problem, config = reference[0]
-        assert config is harness._FSTAR_SOLVER
+        assert config == reference_config(problem, np.zeros(problem.dim))
         assert not isinstance(problem, harness._Shifted)
 
     def test_warm_run_needs_fewer_hessian_products(self):
@@ -569,6 +606,41 @@ class TestWarmFStar:
         assert compute_f_star(cold) == pytest.approx(
             compute_f_star(warm, start=start), rel=1e-14)
         assert 0 < warm.applies < cold.applies
+
+    @pytest.mark.parametrize("kind", ["logistic", "svm-l2"])
+    def test_certificate_saves_hessian_products(self, data_dir, kind):
+        # the same start, stopped by the strong-convexity certificate or by
+        # the plain rule ||grad f|| <= 1e-12 ||grad f(0)||
+        problem = make_problem(ProblemConfig(kind=kind),
+                               harness.load_dataset(data_dir / "train1000.libsvm"))
+        start = _solved(problem)
+        certified, plain = CountingHv(problem), CountingHv(problem)
+        f_certified = compute_f_star(certified, start=start)
+        g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
+        config = replace(harness._FSTAR_SOLVER,
+                         grad_tol=1e-12 * g0 / np.linalg.norm(problem.gradient(start)))
+        z, termination = run_solver(harness._Shifted(plain, start), config)
+        assert termination == "converged"
+        f_plain = problem.objective(start + z)
+        assert 0 < certified.applies < plain.applies
+        assert abs(f_certified - f_plain) <= 4 * EPS * abs(f_plain)
+
+    @pytest.mark.parametrize("flags", [dict(add_bias=True), dict(lam=0.0)],
+                             ids=["bias", "lambda-0"])
+    def test_without_strong_convexity_the_plain_rule_stays(self, data_dir,
+                                                           monkeypatch, flags):
+        problem = make_problem(ProblemConfig(kind="logistic", **flags),
+                               harness.load_dataset(data_dir / "train1000.libsvm"))
+        start = _solved(problem)
+        g0 = np.linalg.norm(problem.gradient(np.zeros(problem.dim)))
+        g_start = np.linalg.norm(problem.gradient(start))
+        seen = _spy_run_solver(monkeypatch)
+        compute_f_star(problem)
+        compute_f_star(problem, start=start)
+        [(_, cold, _), (target, warm, _)] = seen
+        assert cold is harness._FSTAR_SOLVER
+        assert isinstance(target, harness._Shifted)
+        assert warm == replace(harness._FSTAR_SOLVER, grad_tol=1e-12 * g0 / g_start)
 
     def test_no_gradient_evaluated_twice(self):
         problem = make_problem(ProblemConfig(kind="logistic", lam=1e-4),
