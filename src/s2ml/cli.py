@@ -124,12 +124,9 @@ def _add_problem_flags(p):
 
 
 def _add_solver_flags(p, repeatable: bool):
-    if repeatable:
-        p.add_argument("--solver", choices=METHODS, action="append", default=None,
-                       help=f"solver to run (repeatable; default: {SolverConfig.method})")
-    else:
-        p.add_argument("--solver", choices=METHODS, default=None,
-                       help=f"solver to run (default: {SolverConfig.method})")
+    p.add_argument("--solver", choices=METHODS, action="append" if repeatable else "store",
+                   default=None, help=f"solver to run ({'repeatable; ' * repeatable}"
+                                      f"default: {SolverConfig.method})")
     p.add_argument("--grad-tol", type=float, default=None,
                    help="relative gradient-norm stopping tolerance "
                         f"(default {SolverConfig.grad_tol})")
@@ -157,7 +154,6 @@ def build_parser() -> _Parser:
     _add_solver_flags(t, repeatable=False)
     t.add_argument("--out", default=None,
                    help=f"model output path (default {_DEFAULTS['out']})")
-    t.add_argument("--config", default=None, help="key = value file with flag defaults")
 
     b = sub.add_parser("benchmark", allow_abbrev=False,
                        help="run solvers under the timing harness")
@@ -170,19 +166,18 @@ def build_parser() -> _Parser:
                    help=f"repetitions per solver (default {ExperimentSpec.repetitions})")
     b.add_argument("--out-dir", default=None,
                    help=f"directory for traces.csv and plots (default {_DEFAULTS['out_dir']})")
-    b.add_argument("--config", default=None, help="key = value file with flag defaults")
 
     f = sub.add_parser("fstar", allow_abbrev=False,
                        help="compute and print the reference optimum")
     _add_problem_flags(f)
-    f.add_argument("--config", default=None, help="key = value file with flag defaults")
 
     pl = sub.add_parser("plot", allow_abbrev=False,
                         help="render plots from a previously written traces.csv")
     pl.add_argument("--data", default=None, help="traces.csv produced by benchmark")
     pl.add_argument("--out-dir", default=None,
                     help=f"directory for the SVG output (default {_DEFAULTS['out_dir']})")
-    pl.add_argument("--config", default=None, help="key = value file with flag defaults")
+    for command in sub.choices.values():
+        command.add_argument("--config", default=None, help="key = value file with flag defaults")
     parser.commands = sub.choices
     return parser
 
@@ -286,13 +281,17 @@ def _check_output_file(path: Path) -> None:
         raise NotADirectoryError(f"{path}: {existing} is not a directory")
 
 
+def _plot_paths(out_dir: Path, accuracy: bool) -> dict[str, Path]:
+    """Metric -> SVG path: gap.svg, plus accuracy.svg when ``accuracy``."""
+    return {"optimality_gap": out_dir / "gap.svg",
+            **({"test_accuracy": out_dir / "accuracy.svg"} if accuracy else {})}
+
+
 def _write_plots(traces, out_dir: Path) -> list[str]:
-    """Write gap.svg, plus accuracy.svg when the traces carry test accuracy,
+    """Write :func:`_plot_paths`, accuracy.svg when the traces carry test accuracy,
     making ``out_dir`` once every path passes :func:`_check_output_file`."""
-    paths = {"optimality_gap": out_dir / "gap.svg"}
-    if any(t.test_accuracy is not None
-           for reps in traces.values() for run in reps for t in run):
-        paths["test_accuracy"] = out_dir / "accuracy.svg"
+    paths = _plot_paths(out_dir, any(t.test_accuracy is not None
+                                     for reps in traces.values() for run in reps for t in run))
     for path in paths.values():
         _check_output_file(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -334,8 +333,8 @@ def _cmd_benchmark(args) -> int:
                       for m in args.solver or [None]),
         test_path=args.test_data)
     out_dir = Path(_get(args, "out_dir"))
-    for name in ("traces.csv", "gap.svg") + (("accuracy.svg",) if args.test_data else ()):
-        _check_output_file(out_dir / name)
+    for path in (out_dir / "traces.csv", *_plot_paths(out_dir, bool(args.test_data)).values()):
+        _check_output_file(path)
     traces = run_experiment(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "traces.csv"

@@ -124,30 +124,21 @@ class _Shifted:
         return self._problem.make_hess_vec(self._start + z, rows)
 
 
-def _strong_convexity(problem) -> float:
-    """The modulus mu of f's strong convexity: lam, or 0 with an (unpenalized) bias."""
-    return 0.0 if getattr(problem, "add_bias", False) else getattr(problem, "lam", 0.0)
-
-
-def _unusable(problem, text: str, start) -> str | None:
-    """Why the cached f* ``text`` cannot be the optimum, or None: it is no
-    finite number, or lies above f(start) or below a lower bound by more than
-    1e-12 of its magnitude. The bound is max(0, f(start) - ||grad
-    f(start)||^2 / (2 lam)) when lam > 0 and there is no bias (f is then
-    lam-strongly convex), else 0: no loss and no penalty is ever negative."""
+def _unusable(text: str, f_p: float, g_p: float, mu: float) -> str | None:
+    """Why the cached f* ``text`` cannot be the optimum, or None, given f(p),
+    ||grad f(p)|| and f's strong-convexity modulus mu: it is no finite number,
+    or lies above f(p) or below a lower bound by more than 1e-12 of its
+    magnitude. The bound is max(0, f(p) - ||grad f(p)||^2 / (2 mu)) when
+    mu > 0, else 0: no loss and no penalty is ever negative."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         return "is not a finite number"
-    f_start = float(problem.objective(start))
-    if value - f_start > 1e-12 * abs(value):
-        return f"lies above the objective {f_start:.17g}"
-    bound, mu = 0.0, _strong_convexity(problem)
-    if mu > 0.0:
-        g_start = _norm(problem.gradient(start))
-        bound = max(0.0, f_start - g_start * g_start / (2.0 * mu))
+    if value - f_p > 1e-12 * abs(value):
+        return f"lies above the objective {f_p:.17g}"
+    bound = max(0.0, f_p - g_p * g_p / (2.0 * mu)) if mu > 0.0 else 0.0
     if bound - value > 1e-12 * abs(value):
         return f"lies below the lower bound {bound:.17g}"
     return None
@@ -156,26 +147,32 @@ def _unusable(problem, text: str, start) -> str | None:
 def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> float:
     """Reference optimum of the problem, cached by dataset digest and config.
 
-    Runs the trust-region Newton solver from p until ``||grad f(w)|| <=
-    max(1e-12 ||grad f(0)||, sqrt(2 mu eps f(p)))``, eps the machine epsilon
-    and mu f's strong-convexity modulus (lam, 0 with a bias): then f(w) - f*
-    <= ||grad f(w)||^2 / (2 mu) <= eps f(p), as f(p) >= f* >= 0. p is ``start``
-    (0 if not given) when its gradient norm is finite, nonzero and below
-    ||grad f(0)|| (the best benchmarked iterate, say), else 0. ``grad_norm0``,
-    if given, is ``||grad f(0)||`` (an iteration-0 record holds it), else it
-    is evaluated. Raises :class:`ConvergenceError` if the run does not converge.
+    The run starts from p: ``start`` when ``0 < ||grad f(start)|| < ||grad
+    f(0)||`` (the best benchmarked iterate, say), else 0, and 0 when no start
+    is given. f(p) and ||grad f(p)|| are evaluated once. The trust-region
+    Newton solver runs from p until ``||grad f(w)|| <= max(1e-12 ||grad
+    f(0)||, sqrt(2 mu eps f(p)))``, eps the machine epsilon and mu f's
+    strong-convexity modulus (lam, 0 with a bias): then f(w) - f* <= ||grad
+    f(w)||^2 / (2 mu) <= eps f(p), as f(p) >= f* >= 0. ``grad_norm0``, if
+    given, is ``||grad f(0)||`` (an iteration-0 record holds it), else it is
+    evaluated. Raises :class:`ConvergenceError` if the run does not converge.
 
     With ``cache_dir`` (and a :class:`Problem` built on a :class:`Dataset`,
     whose digest keys the file) the value is kept in ``<digest>.fstar`` at
     17 significant digits. A cached value that can be the optimum, judged at
-    ``start`` (see :func:`_unusable`), is returned, even if it is not; a
-    missing one is computed and written; one that cannot be draws one
-    ``RuntimeWarning`` naming the file and the reason, then is computed and
-    written as if missing. A write that fails (see :func:`_write_atomic`)
-    warns, and the value is returned uncached.
+    p (see :func:`_unusable`), is returned, even if it is not; a missing one
+    is computed and written; one that cannot be draws one ``RuntimeWarning``
+    naming the file and the reason, then is computed and written as if
+    missing. A write that fails (see :func:`_write_atomic`) warns, and the
+    value is returned uncached.
     """
-    if start is None:
-        start = np.zeros(problem.dim)
+    if grad_norm0 is None:
+        grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
+    p, g_p = start, (math.inf if start is None else _norm(problem.gradient(start)))
+    if not 0.0 < g_p < grad_norm0:
+        p, g_p = np.zeros(problem.dim), grad_norm0
+    f_p = float(problem.objective(p))
+    mu = 0.0 if getattr(problem, "add_bias", False) else getattr(problem, "lam", 0.0)
     cache_path = None
     if cache_dir is not None:
         key = (dataset_digest(problem.data), problem.kind, float(problem.lam),
@@ -185,29 +182,23 @@ def compute_f_star(problem, cache_dir=None, start=None, grad_norm0=None) -> floa
         if cache_path.exists():
             # bytes that are not UTF-8 become lone surrogates, which float() rejects
             text = cache_path.read_text(encoding="utf-8", errors="surrogateescape").strip()
-            why = _unusable(problem, text, start)
+            why = _unusable(text, f_p, g_p, mu)
             if why is None:
                 return float(text)
             warnings.warn(f"{cache_path}: cached f* {text!r} {why}; recomputing",
                           RuntimeWarning, stacklevel=2)
-    if grad_norm0 is None:
-        grad_norm0 = _norm(problem.gradient(np.zeros(problem.dim)))
-    g_start = _norm(problem.gradient(start))
-    target = _Shifted(problem, start) if 0.0 < g_start < grad_norm0 else problem
-    if target is problem:  # a cold run, from 0
-        start, g_start = np.zeros(problem.dim), grad_norm0
-    goal, mu = _FSTAR_SOLVER.grad_tol * grad_norm0, _strong_convexity(problem)
-    if mu > 0.0:  # then f(w) - f* <= eps f(start) at the goal (see above)
-        goal = max(goal, math.sqrt(2.0 * mu * np.finfo(float).eps * problem.objective(start)))
-    config = _FSTAR_SOLVER  # goal is absolute; grad_tol is relative to ||grad f(start)||
-    if 0.0 < g_start and goal != _FSTAR_SOLVER.grad_tol * g_start:
-        config = replace(_FSTAR_SOLVER, grad_tol=goal / g_start)
-    w, termination = run_solver(target, config)
+    goal = _FSTAR_SOLVER.grad_tol * grad_norm0
+    if mu > 0.0:  # then f(w) - f* <= eps f(p) at the goal (see above)
+        goal = max(goal, math.sqrt(2.0 * mu * np.finfo(float).eps * f_p))
+    config = _FSTAR_SOLVER  # goal is absolute; grad_tol is relative to ||grad f(p)||
+    if 0.0 < g_p and goal != _FSTAR_SOLVER.grad_tol * g_p:
+        config = replace(_FSTAR_SOLVER, grad_tol=goal / g_p)
+    z, termination = run_solver(_Shifted(problem, p), config)
     if termination != "converged":
         raise ConvergenceError(
             f"reference optimum did not converge (termination={termination}); "
             "increase the regularization weight or the iteration cap")
-    value = float(problem.objective(w if target is problem else start + w))
+    value = float(problem.objective(p + z))
     if cache_path is not None:
         _write_atomic(cache_path, f"{value:.17g}\n")
     return value

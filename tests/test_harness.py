@@ -117,6 +117,46 @@ class TestComputeFStar:
                                   start=_solved(problem)) == value
         assert seen == [] and cache.read_bytes() == written
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["plain", "bias"])
+    def test_cache_is_judged_where_the_run_starts(self, data_dir, fill, bias):
+        # a start that the reference run rejects does not judge the cache:
+        # it is judged at 0, where 1000 lies above f(0)
+        problem = make_problem(ProblemConfig(kind="logistic", add_bias=bias),
+                               harness.load_dataset(data_dir / "train1000.libsvm"))
+        cold = compute_f_star(problem, cache_dir=data_dir)
+        [cache] = data_dir.glob("*.fstar")
+        cache.write_text("1000\n")
+        f0 = problem.objective(np.zeros(problem.dim))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.filterwarnings("always", re.escape(f"{cache}: cached f* "),
+                                    RuntimeWarning)
+            assert compute_f_star(problem, cache_dir=data_dir,
+                                  start=np.full(problem.dim, fill)) == cold
+        assert [str(w.message) for w in caught] == [
+            f"{cache}: cached f* '1000' lies above the objective {f0:.17g}; recomputing"]
+        assert cache.read_text() == f"{cold:.17g}\n"
+
+    # f(p) = 0.75, ||grad f(p)|| = 0.5: with mu = 0.5 the lower bound is
+    # 0.75 - 0.25 = 0.5, with mu = 0 it is 0
+    @pytest.mark.parametrize("text, mu, why", [
+        (f"{0.75 * (1 + 0.5e-12):.17g}", 0.5, None),
+        (f"{0.75 * (1 + 2e-12):.17g}", 0.5, "lies above the objective 0.75"),
+        (f"{0.5 * (1 - 0.5e-12):.17g}", 0.5, None),
+        (f"{0.5 * (1 - 2e-12):.17g}", 0.5, "lies below the lower bound 0.5"),
+        ("0.1", 0.5, "lies below the lower bound 0.5"),
+        ("0.1", 0.0, None),
+        ("0", 0.0, None),
+        ("-1e-300", 0.0, "lies below the lower bound 0"),
+        ("nan", 0.5, "is not a finite number"),
+        ("inf", 0.5, "is not a finite number"),
+        ("garbage", 0.5, "is not a finite number"),
+        ("", 0.5, "is not a finite number"),
+    ])
+    def test_unusable_edges(self, text, mu, why):
+        assert harness._unusable(text, 0.75, 0.5, mu) == why
+
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         # a failed rename leaves no partial cache, warns and returns the value
         def fail(src, dst):
@@ -579,8 +619,12 @@ class TestWarmFStar:
         assert not np.linalg.norm(problem.gradient(w0)) < g0
         seen = _spy_run_solver(monkeypatch)
         assert compute_f_star(problem, start=w0) == cold
-        # the goal is set from f(0), never from the rejected start
-        assert seen == [(problem, reference_config(problem, np.zeros(problem.dim)), None)]
+        # the run starts from 0, its goal set from f(0), never from the rejected start
+        [(target, config, callback)] = seen
+        assert isinstance(target, harness._Shifted) and target._problem is problem
+        assert target._start.tobytes() == np.zeros(problem.dim).tobytes()
+        assert config == reference_config(problem, np.zeros(problem.dim))
+        assert callback is None
 
     def test_unmoved_solvers_fall_back_to_cold(self, tmp_path, monkeypatch):
         train = write_split(tmp_path, "train.libsvm", small_instance(23))
@@ -594,9 +638,10 @@ class TestWarmFStar:
             run_experiment(spec)
         reference = [(p, c) for p, c, cb in seen if cb is None]
         assert len(reference) == 1
-        problem, config = reference[0]
-        assert config == reference_config(problem, np.zeros(problem.dim))
-        assert not isinstance(problem, harness._Shifted)
+        target, config = reference[0]
+        assert isinstance(target, harness._Shifted)
+        assert target._start.tobytes() == np.zeros(target.dim).tobytes()
+        assert config == reference_config(target._problem, np.zeros(target.dim))
 
     def test_warm_run_needs_fewer_hessian_products(self):
         problem = make_problem(ProblemConfig(kind="logistic", lam=1e-4),
