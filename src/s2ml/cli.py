@@ -79,12 +79,14 @@ def read_model(path):
         raise ModelFormatError(
             f"{path}: expected {expected} lines (2 header + {dim} coefficients), "
             f"got {len(lines)}")
-    try:
-        w = np.array([float(x) for x in lines[2:]], dtype=np.float64)
-    except ValueError:
-        raise ModelFormatError(f"{path}: malformed coefficient line") from None
-    if w.size and not np.all(np.isfinite(w)):
-        raise ModelFormatError(f"{path}: non-finite coefficient")
+    w = np.empty(dim)
+    for i, x in enumerate(lines[2:]):
+        try:
+            w[i] = float(x)
+        except ValueError:
+            raise ModelFormatError(f"{path}: line {i + 3}: malformed coefficient {x!r}") from None
+        if not np.isfinite(w[i]):
+            raise ModelFormatError(f"{path}: line {i + 3}: non-finite coefficient {x!r}")
     return w, config
 
 
@@ -261,17 +263,6 @@ def _config(cls, args, **values):
         raise _UsageError(str(exc)) from None
 
 
-def _get(args, name):
-    value = getattr(args, name)
-    return _DEFAULTS[name] if value is None else value
-
-
-def _require_data(args):
-    if args.data is None:
-        raise _UsageError("--data is required")
-    return args.data
-
-
 def _check_output_file(path: Path) -> None:
     """Refuse, creating nothing, an output file that is a directory or below a file."""
     if path.is_dir():
@@ -282,22 +273,20 @@ def _check_output_file(path: Path) -> None:
 
 
 def _plot_paths(out_dir: Path, accuracy: bool) -> dict[str, Path]:
-    """Metric -> SVG path: gap.svg, plus accuracy.svg when ``accuracy``."""
-    return {"optimality_gap": out_dir / "gap.svg",
-            **({"test_accuracy": out_dir / "accuracy.svg"} if accuracy else {})}
-
-
-def _write_plots(traces, out_dir: Path) -> list[str]:
-    """Write :func:`_plot_paths`, accuracy.svg when the traces carry test accuracy,
-    making ``out_dir`` once every path passes :func:`_check_output_file`."""
-    paths = _plot_paths(out_dir, any(t.test_accuracy is not None
-                                     for reps in traces.values() for run in reps for t in run))
+    """Metric -> SVG path: gap.svg, plus accuracy.svg when ``accuracy``.
+    Every path returned has passed :func:`_check_output_file`."""
+    paths = {"optimality_gap": out_dir / "gap.svg",
+             **({"test_accuracy": out_dir / "accuracy.svg"} if accuracy else {})}
     for path in paths.values():
         _check_output_file(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    return paths
+
+
+def _write_plots(traces, paths: dict[str, Path]) -> None:
+    """Render each metric of :func:`_plot_paths` to its path, creating its directory."""
     for metric, path in paths.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
         render_convergence_svg(traces, metric, path)
-    return [str(p) for p in paths.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +294,20 @@ def _write_plots(traces, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    path, out = _require_data(args), _get(args, "out")
-    _check_output_file(Path(out))
-    data = load_dataset(path)
-    problem = make_problem(_config(ProblemConfig, args), data)
+    pcfg = _config(ProblemConfig, args)
     scfg = _config(SolverConfig, args, method=args.solver)
+    _check_output_file(Path(args.out))
+    problem = make_problem(pcfg, load_dataset(args.data))
     w, termination = run_solver(problem, scfg)
     if termination == "non_finite":
         print(f"s2ml: error: {scfg.method} stopped on a non-finite objective or "
               "gradient norm (feature values too large?); no model written",
               file=sys.stderr)
         return 2
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    write_model(out, w, problem.config)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    write_model(args.out, w, problem.config)
     print(f"s2ml: {scfg.method} finished ({termination}); "
-          f"objective={problem.objective(w):.6e}; model -> {out}",
+          f"objective={problem.objective(w):.6e}; model -> {args.out}",
           file=sys.stderr)
     return 0
 
@@ -327,35 +315,35 @@ def _cmd_train(args) -> int:
 def _cmd_benchmark(args) -> int:
     spec = _config(
         ExperimentSpec, args,
-        train_path=_require_data(args),
+        train_path=args.data,
         problem=_config(ProblemConfig, args),
         solvers=tuple(_config(SolverConfig, args, method=m)
                       for m in args.solver or [None]),
         test_path=args.test_data)
-    out_dir = Path(_get(args, "out_dir"))
-    for path in (out_dir / "traces.csv", *_plot_paths(out_dir, bool(args.test_data)).values()):
-        _check_output_file(path)
+    csv_path = Path(args.out_dir) / "traces.csv"
+    _check_output_file(csv_path)
+    plots = _plot_paths(csv_path.parent, spec.test_path is not None)
     traces = run_experiment(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "traces.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(traces, csv_path)
-    wrote = [str(csv_path), *_write_plots(traces, out_dir)]
-    print(f"s2ml: benchmark complete; wrote {', '.join(wrote)}", file=sys.stderr)
+    _write_plots(traces, plots)
+    wrote = ", ".join(map(str, [csv_path, *plots.values()]))
+    print(f"s2ml: benchmark complete; wrote {wrote}", file=sys.stderr)
     return 0
 
 
 def _cmd_fstar(args) -> int:
-    path = _require_data(args)
-    data = load_dataset(path)
-    problem = make_problem(_config(ProblemConfig, args), data)
-    value = compute_f_star(problem, cache_dir=Path(path).parent)
-    print(f"{value:.17g}")
+    problem = make_problem(_config(ProblemConfig, args), load_dataset(args.data))
+    print(f"{compute_f_star(problem, cache_dir=Path(args.data).parent):.17g}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    wrote = _write_plots(read_trace_csv(_require_data(args)), Path(_get(args, "out_dir")))
-    print(f"s2ml: wrote {', '.join(wrote)}", file=sys.stderr)
+    traces = read_trace_csv(args.data)
+    plots = _plot_paths(Path(args.out_dir), any(
+        t.test_accuracy is not None for reps in traces.values() for run in reps for t in run))
+    _write_plots(traces, plots)
+    print(f"s2ml: wrote {', '.join(map(str, plots.values()))}", file=sys.stderr)
     return 0
 
 
@@ -376,8 +364,12 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_, **__: f"s2ml: warning: {message}\n"
     where: dict[str, str] = {}
-    try:
+    try:  # resolve the flags once: config file, then --data, then the path defaults
         where = _apply_config_file(args, parser)
+        if args.data is None:
+            raise _UsageError("--data is required")
+        vars(args).update({name: default for name, default in _DEFAULTS.items()
+                           if getattr(args, name, default) is None})
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         message = _name_flag(str(exc), parser.commands[args.command], where)

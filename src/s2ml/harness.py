@@ -336,7 +336,7 @@ def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
     out: dict[str, list[list[TraceRecord]]] = {}
     for row in reader:
         if len(row) != 9:
-            raise ValueError(f"{path}: expected 9 fields, got {len(row)}")
+            raise ValueError(f"{path}: line {reader.line_num}: expected 9 fields, got {len(row)}")
         solver, rep_s, it, wall, obj, gap, acc, gn, rows = row
         try:
             rep = int(rep_s)
@@ -351,8 +351,8 @@ def read_trace_csv(path) -> dict[str, list[list[TraceRecord]]]:
         if rep == len(reps):
             reps.append([])
         if rep < 0 or rep != len(reps) - 1:
-            raise ValueError(f"{path}: solver {solver!r} jumps to rep {rep}; "
-                             "its reps must run 0, 1, ... without gaps")
+            raise ValueError(f"{path}: line {reader.line_num}: solver {solver!r} jumps to "
+                             f"rep {rep}; its reps must run 0, 1, ... without gaps")
         reps[rep].append(record)
     return out
 

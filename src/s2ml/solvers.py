@@ -108,7 +108,6 @@ class SolverState:
     batch_size: int
     lbfgs_pairs: LbfgsMemory
     iter: int = 0
-    consecutive_rejects: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,15 +403,12 @@ def _snapshot(state: SolverState, accepted=True, step_norm=0.0, cg_iters=0, rows
 def _finish(problem, state: SolverState, accepted: bool, step, w_new, f_new,
             *, cg_iters: int = 0, rows_touched: int = 0) -> IterationSnapshot:
     """Commit the trial point ``w_new = state.w + step`` with objective
-    ``f_new`` if the step was accepted, else count a rejection; then close
-    the iteration, recording the state's ``tr_radius`` as the step left it."""
+    ``f_new`` if the step was accepted; then close the iteration, recording
+    the state's ``tr_radius`` as the step left it."""
     if accepted:
         state.w = w_new
         state.obj = f_new
         state.grad = problem.gradient(w_new)
-        state.consecutive_rejects = 0
-    else:
-        state.consecutive_rejects += 1
     state.iter += 1
     return _snapshot(state, accepted, _norm(step) if accepted else 0.0, cg_iters, rows_touched)
 
@@ -689,7 +685,7 @@ def run_solver(problem, config: SolverConfig, callback=None):
     """
     step_fn = _STEPS[config.method]
     state = init_state(problem, config)
-    snapshot = _snapshot(state)
+    snapshot, consecutive_rejects = _snapshot(state), 0
     while True:
         if callback is not None:
             callback(snapshot)
@@ -699,6 +695,7 @@ def run_solver(problem, config: SolverConfig, callback=None):
             return state.w, "converged"
         if state.iter >= config.max_iters:
             return state.w, "max_iters"
-        if state.consecutive_rejects >= _STALL_LIMIT:
+        if consecutive_rejects >= _STALL_LIMIT:
             return state.w, "stalled"
         snapshot = step_fn(problem, state, config)
+        consecutive_rejects = 0 if snapshot.step_accepted else consecutive_rejects + 1

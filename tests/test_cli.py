@@ -110,8 +110,9 @@ class TestModelFile:
         (["kind=logistic lambda=-1 bias=0 dim=0"], "bad lambda '-1'"),
         (["kind=logistic lambda=inf bias=0 dim=0"], "bad lambda 'inf'"),
         (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "half"],
-         "malformed coefficient line"),
-        (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "nan"], "non-finite coefficient"),
+         "line 4: malformed coefficient 'half'"),
+        (["kind=logistic lambda=1 bias=0 dim=2", "0.5", "nan"],
+         "line 4: non-finite coefficient 'nan'"),
         (["\udcff"], "line 2: byte 0xff is not UTF-8"),
     ], ids=["header-only", "lambda", "negative-lambda", "infinite-lambda", "coefficient",
             "nan", "not-utf8"])
@@ -177,6 +178,28 @@ class TestTrain:
         rc = main(["train", *(["--data", train] if with_data else []), "--max-iters", "-1"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("usage: s2ml train ")
+
+    @pytest.mark.parametrize("command, bad", [
+        ("train", ["--lambda", "-1"]), ("train", ["--max-iters", "-1"]), ("train", ["--config"]),
+        ("fstar", ["--lambda", "-1"]), ("fstar", ["--config"]),
+    ], ids=["train-lambda", "train-max-iters", "train-config", "fstar-lambda", "fstar-config"])
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing-data", "data"])
+    def test_bad_value_is_refused_before_any_data_is_read(
+            self, tmp_path, train, monkeypatch, capsys, command, bad, exists):
+        config = tmp_path / "bad.cfg"
+        config.write_text("lambda = -1\n")
+        bad = [*bad, str(config)] if bad == ["--config"] else bad
+        loads = []
+
+        def load_dataset(*args, **kwargs):
+            loads.append(args)
+            raise OSError("load_dataset was called")
+        if exists:
+            monkeypatch.setattr(s2ml.cli, "load_dataset", load_dataset)
+        data = train if exists else str(tmp_path / "missing.libsvm")
+        assert main([command, "--data", data, *bad]) == 1
+        assert capsys.readouterr().err.startswith(f"usage: s2ml {command} ")
+        assert loads == []
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.libsvm")])

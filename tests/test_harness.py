@@ -404,6 +404,19 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="expected 9 fields, got 8"):
             read_trace_csv(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["tron,0,0,0.5,1.5,0.5,,1.0,0", "", "tron,0,1,0.5,1.5,0.5,,1.0,0"],
+         "line 3: expected 9 fields, got 0"),
+        (["tron,0,1"], "line 2: expected 9 fields, got 3"),
+        (["tron,0,0,0.5,1.5,0.5,,1.0,0", "tron,2,0,0.5,1.5,0.5,,1.0,0"],
+         "line 3: solver 'tron' jumps to rep 2; "),
+    ], ids=["blank-line", "short-row", "rep-gap"])
+    def test_row_error_names_the_line(self, tmp_path, rows, message):
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            read_trace_csv(p)
+
 
 class TestSvg:
     def traces_two_solvers(self):
